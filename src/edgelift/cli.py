@@ -171,8 +171,25 @@ def _pick_edge(np, index):
     return np.edges[index]
 
 
-def _certificate_dict(cert):
-    return cert.to_dict()
+def _parse_split(args, vars_, ring):
+    """The --split 'G,H' request over the residue field, or None without one."""
+    if args.split is None:
+        return None
+    parts = args.split.split(",")
+    if len(parts) != 2:
+        raise expr.ParseError(0, "--split of the form 'G,H'")
+    K = ring.residue_field()
+    return lift.SplitRequest(expr.parse(parts[0], vars_, K), expr.parse(parts[1], vars_, K))
+
+
+def _reducible_report(edge, g, h, cert, vars_):
+    return {
+        "verdict": "reducible",
+        "edge": edge.to_dict(),
+        "g": expr.render(g, vars_),
+        "h": expr.render(h, vars_),
+        "certificate": cert.to_dict(),
+    }
 
 
 def _match_split_edge(f, loose, G, H):
@@ -189,107 +206,71 @@ def _match_split_edge(f, loose, G, H):
 
 def cmd_factor(args):
     ring, vars_, f = _setup(args)
+    if args.split is None:
+        return _witness(f, vars_, args)
     np = newton.build(f)
-    if args.split is not None:
-        parts = args.split.split(",")
-        if len(parts) != 2:
-            raise expr.ParseError(0, "--split of the form 'G,H'")
-        K = ring.residue_field()
-        G = expr.parse(parts[0], vars_, K)
-        H = expr.parse(parts[1], vars_, K)
-        loose = [e for e in np.edges if e.loose]
-        if args.edge is not None:
-            edge = _pick_edge(np, args.edge)
-        elif loose:
-            edge = _match_split_edge(f, loose, G, H)
-        else:
-            _emit({"verdict": "no_loose_edge"}, args)
-            return EXIT_INCONCLUSIVE
-        ws = orthogonal_basis(edge.direction)
-        bound = WeightedBound(ws.xi0, args.bound)
-        try:
-            g, h, cert = lift.lift_factorization(f, edge, lift.SplitRequest(G, H), bound)
-        except lift.InvalidSplit as err:
-            _emit({"verdict": "invalid_split", "reason": err.reason}, args)
-            return EXIT_INCONCLUSIVE
-        _emit({
-            "verdict": "reducible",
-            "edge": edge.to_dict(),
-            "g": expr.render(g, vars_),
-            "h": expr.render(h, vars_),
-            "certificate": _certificate_dict(cert),
-        }, args)
-        return EXIT_OK
-
-    # automatic: reducibility witness over the loose edges
-    verdict = _witness(f, args)
-    return verdict
+    split = _parse_split(args, vars_, ring)
+    loose = [e for e in np.edges if e.loose]
+    if args.edge is not None:
+        edge = _pick_edge(np, args.edge)
+    elif loose:
+        edge = _match_split_edge(f, loose, split.G, split.H)
+    else:
+        _emit({"verdict": "no_loose_edge"}, args)
+        return EXIT_INCONCLUSIVE
+    bound = WeightedBound(orthogonal_basis(edge.direction).xi0, args.bound)
+    try:
+        g, h, cert = lift.lift_factorization(f, edge, split, bound)
+    except lift.InvalidSplit as err:
+        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
+        return EXIT_INCONCLUSIVE
+    _emit(_reducible_report(edge, g, h, cert, vars_), args)
+    return EXIT_OK
 
 
-def _witness(f, args):
-    vars_ = expr.VarTable.split(args.vars)
-
-    def bound_for(edge):
-        ws = orthogonal_basis(edge.direction)
-        return WeightedBound(ws.xi0, args.bound)
-
+def _witness(f, vars_, args):
+    """Automatic factor: the reducibility witness over the loose edges."""
     np = newton.build(f)
     loose = [e for e in np.edges if e.loose]
     if not loose:
         _emit({"verdict": "no_loose_edge"}, args)
         return EXIT_INCONCLUSIVE
-    # reducibility_witness picks its own bound per edge direction
-    result = lift.reducibility_witness(
-        f, bound_for(loose[0]), seed=args.seed)
+    # the weights of the first loose edge, used on whichever edge is lifted
+    bound = WeightedBound(orthogonal_basis(loose[0].direction).xi0, args.bound)
+    result = lift.reducibility_witness(f, bound, seed=args.seed)
     if isinstance(result, lift.ReducibleWithFactors):
-        _emit({
-            "verdict": "reducible",
-            "edge": result.edge.to_dict(),
-            "g": expr.render(result.g, vars_),
-            "h": expr.render(result.h, vars_),
-            "certificate": _certificate_dict(result.certificate),
-        }, args)
+        _emit(_reducible_report(result.edge, result.g, result.h, result.certificate, vars_),
+              args)
         return EXIT_OK
-    if isinstance(result, lift.EdgePrimePower):
-        K = result.factor.ring
-        _emit({
-            "verdict": "edge_prime_power",
-            "edge": result.edge.to_dict(),
-            "factor": expr.render(result.factor, vars_),
-            "power": result.power,
-            "unit": K.scalar_str(result.unit),
-        }, args)
-        return EXIT_INCONCLUSIVE
-    _emit({"verdict": "no_loose_edge"}, args)
+    K = result.factor.ring
+    _emit({
+        "verdict": "edge_prime_power",
+        "edge": result.edge.to_dict(),
+        "factor": expr.render(result.factor, vars_),
+        "power": result.power,
+        "unit": K.scalar_str(result.unit),
+    }, args)
     return EXIT_INCONCLUSIVE
 
 
 def cmd_weierstrass(args):
     ring, vars_, f = _setup(args)
     wi = weier.WeierstrassInput(f)
-    np = newton.build(f)
-    candidates = weier.descendant_loose_edges(wi)
-    split = None
-    if args.split is not None:
-        parts = args.split.split(",")
-        if len(parts) != 2:
-            raise expr.ParseError(0, "--split of the form 'G,H'")
-        K = ring.residue_field()
-        split = lift.SplitRequest(expr.parse(parts[0], vars_, K),
-                                  expr.parse(parts[1], vars_, K))
+    split = _parse_split(args, vars_, ring)
     if args.edge is not None:
-        edge = _pick_edge(np, args.edge)
-    elif candidates:
+        edge = _pick_edge(newton.build(f), args.edge)
+    else:
+        candidates = weier.descendant_loose_edges(wi)
+        if not candidates:
+            _emit({"verdict": "no_descendant_loose_edge"}, args)
+            return EXIT_INCONCLUSIVE
         edge = (_match_split_edge(f, candidates, split.G, split.H)
                 if split is not None else candidates[0])
-    else:
-        _emit({"verdict": "no_descendant_loose_edge"}, args)
-        return EXIT_INCONCLUSIVE
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, args.bound)
-    rest = lift.edge_restriction(f, edge)
     if split is None:
-        chosen = lift._split_from_restriction(rest, prefer_factored=True,
+        chosen = lift._split_from_restriction(lift.edge_restriction(f, edge),
+                                              prefer_factored=True,
                                               monic_last=True, seed=args.seed)
         if isinstance(chosen, lift.PrimePower):
             _emit({
@@ -305,7 +286,7 @@ def cmd_weierstrass(args):
     bound_x = weier.weight_to_x_bound(ws, args.bound)
     unit, g = weier.weierstrass_normalize(gbar, d, bound_x)
     h, remainder = weier.poly_divide(f, g, bound_x)
-    residual = (f - g * h).truncate(bound)
+    residual = (f - g.mul(h, bound)).truncate(bound)
     report = {
         "verdict": "factored",
         "edge": edge.to_dict(),
@@ -314,7 +295,7 @@ def cmd_weierstrass(args):
         "unit": expr.render(unit, vars_),
         "division_remainder": expr.render(remainder, vars_),
         "residual_within_bound": expr.render(residual, vars_),
-        "certificate": _certificate_dict(cert),
+        "certificate": cert.to_dict(),
     }
     _emit(report, args)
     return EXIT_OK
@@ -346,7 +327,7 @@ def cmd_padic(args):
             "edge": verdict.edge.to_dict(),
             "restriction": expr.render(verdict.restriction, plane_vars),
             "factors": factors,
-            "certificate": _certificate_dict(verdict.certificate),
+            "certificate": verdict.certificate.to_dict(),
         })
         _emit(base, args)
         return EXIT_OK

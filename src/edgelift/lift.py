@@ -12,6 +12,7 @@ weight strictly increases, so the loop terminates within the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import newton
 from .coeffs import RESIDUE_RING
@@ -19,8 +20,7 @@ from .grading import NoIntegralPoint, WeightSystem, orthogonal_basis
 from .linalg import solve_field
 from .poly import (SparsePoly, deglex_key, exp_add, exp_min, exp_neg, exp_sub,
                    primitive_vector)
-from .unifactor import (DegreeTooLarge, UnsupportedRing, degree, factor_univariate,
-                        pgcd, ppow, trim)
+from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
 
 
 class LiftError(ValueError):
@@ -123,17 +123,6 @@ class LiftCertificate:
             "steps": [s.to_dict() for s in self.steps],
             "exit_min_weight": self.exit_min_weight,
         }
-
-
-@dataclass
-class LiftState:
-    """Accumulated partial factors, current residual, and the step log."""
-
-    g: SparsePoly
-    h: SparsePoly
-    residual: SparsePoly
-    bound: object
-    log: list = field(default_factory=list)
 
 
 # -- restrictions --------------------------------------------------------------
@@ -244,14 +233,17 @@ def _content_line(P):
     orients all lines parallel to a direction consistently.
     """
     support = P.support()
-    content = support[0]
-    for point in support[1:]:
-        content = exp_min(content, point)
+    content = _content(P)
     if len(support) == 1:
         return content, [P.terms[support[0]]], None
     direction = primitive_vector(exp_sub(support[-1], support[0]))
     _, uni = _line_form(P, direction)
     return content, uni, direction
+
+
+def _content(P):
+    """The monomial content: the componentwise minimum over the support."""
+    return reduce(exp_min, P.support())
 
 
 # -- univariate factorization of a restriction ----------------------------------
@@ -365,13 +357,11 @@ def _run_lift(f, ws, G, H, bound, max_last_exp=None):
     ring = f.ring
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
-    state = LiftState(_lift_from_residue(G, ring), _lift_from_residue(H, ring),
-                      SparsePoly.zero(f.nvars, ring), bound)
+    g, h = _lift_from_residue(G, ring), _lift_from_residue(H, ring)
     cert = LiftCertificate(w, z, bound.bound)
     previous = None
     while True:
-        state.residual = (f - state.g.mul(state.h, bound)).truncate(bound)
-        visible = _to_residue_poly(state.residual)
+        visible = _to_residue_poly((f - g.mul(h, bound)).truncate(bound))
         if cert.steps:
             cert.steps[-1].residual_after = visible.min_weighted_degree(ws.xi0)
         if not visible:
@@ -390,35 +380,26 @@ def _run_lift(f, ws, G, H, bound, max_last_exp=None):
         h_cap, g_cap = _block_caps(max_last_exp)
         dims = (len(_slice_points(ws, exp_sub(wmin, w), h_cap)),
                 len(_slice_points(ws, exp_sub(wmin, z), g_cap)))
-        state.g = state.g + _lift_from_residue(g_part, ring)
-        state.h = state.h + _lift_from_residue(h_part, ring)
-        state.log.append((step, dims))
+        g = g + _lift_from_residue(g_part, ring)
+        h = h + _lift_from_residue(h_part, ring)
         cert.steps.append(LiftStep(step, dims, sum(wmin)))
-    remainder = _to_residue_poly(f - state.g * state.h)
+    remainder = _to_residue_poly(f - g * h)
     cert.exit_min_weight = remainder.min_weighted_degree(ws.xi0)
-    return state.g, state.h, cert
+    return g, h, cert
 
 
-def _validate_split(f, edge, split, require_no_variable):
-    """Common hypothesis checks; returns the restriction."""
-    if not edge.loose:
-        raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
-    rest = edge_restriction(f, edge)
+def _validate_split(split, restriction):
+    """The split checks shared by the plain and monic lifts: G and H nonzero
+    over the residue field, G*H equal to the edge restriction, and coprime."""
     G, H = split.G, split.H
     if not G or not H:
         raise InvalidSplit(PRODUCT_MISMATCH, "split parts must be nonzero")
-    if G.ring != rest.poly.ring or H.ring != rest.poly.ring:
+    if G.ring != restriction.ring or H.ring != restriction.ring:
         raise InvalidSplit(PRODUCT_MISMATCH, "split must live over the residue field")
-    if G * H != rest.poly:
+    if G * H != restriction:
         raise InvalidSplit(PRODUCT_MISMATCH, "G*H differs from the edge restriction")
-    if require_no_variable:
-        mins = [min(e[j] for e in G.terms) for j in range(G.nvars)]
-        if any(m > 0 for m in mins):
-            raise InvalidSplit(DIVISIBLE_BY_VARIABLE,
-                               "G is divisible by a variable")
     if not coprime_check(G, H):
         raise InvalidSplit(NOT_COPRIME, "G and H share a factor")
-    return rest
 
 
 def lift_factorization(f, edge, split, bound):
@@ -429,16 +410,16 @@ def lift_factorization(f, edge, split, bound):
     """
     if not f:
         raise LiftError("cannot factor the zero polynomial")
-    rest = _validate_split(f, edge, split, require_no_variable=True)
+    if not edge.loose:
+        raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
+    rest = edge_restriction(f, edge)
+    _validate_split(split, rest.poly)
+    if any(_content(split.G)):
+        raise InvalidSplit(DIVISIBLE_BY_VARIABLE, "G is divisible by a variable")
     return _run_lift(f, rest.ws, split.G, split.H, bound)
 
 
 # -- irreducibility-witness logic -------------------------------------------------
-
-
-def _scaled_factor_power(base, mult, ring):
-    return ppow(list(base), mult, ring)
-
 
 def _split_from_restriction(rest, prefer_factored=False, monic_last=False, seed=0):
     """Choose a coprime split of an edge restriction, or report prime-power
@@ -453,51 +434,31 @@ def _split_from_restriction(rest, prefer_factored=False, monic_last=False, seed=
     poly = rest.poly
     ring = poly.ring
     nvars = poly.nvars
-    support = poly.support()
-    content = support[0]
-    for point in support[1:]:
-        content = exp_min(content, point)
-
-    factored = None
+    content = _content(poly)
     classes = None
     if prefer_factored or not any(content):
         unit, classes = factor_univariate(ring, list(rest.univariate), seed)
-        if len(classes) >= 2:
-            first, mult = classes[0]
-            g_uni = _scaled_factor_power(first, mult, ring)
-            rest_uni = [unit]
-            for other, m in classes[1:]:
-                rest_uni = _mul_lists(rest_uni, _scaled_factor_power(other, m, ring), ring)
-            direction = rest.edge.direction
-            G = edge_poly_from_univariate(ring, nvars, direction, g_uni)
-            H = edge_poly_from_univariate(ring, nvars, direction, rest_uni).mul_monomial(content)
-            factored = (G, H)
 
-    if factored is not None:
-        G, H = factored
+    if classes is not None and len(classes) >= 2:
+        first, mult = classes[0]
+        h_uni = [unit]
+        for other, m in classes[1:]:
+            h_uni = pmul(h_uni, ppow(list(other), m, ring), ring)
+        direction = rest.edge.direction
+        G = edge_poly_from_univariate(ring, nvars, direction, ppow(list(first), mult, ring))
+        H = edge_poly_from_univariate(ring, nvars, direction, h_uni).mul_monomial(content)
     elif any(content):
         G = poly.mul_monomial(exp_neg(content))
         H = SparsePoly.monomial(nvars, ring, content)
     else:
-        base, mult = classes[0]
-        F = edge_poly_from_univariate(ring, nvars, rest.edge.direction, base)
-        F = _normalize_min_term(F)
-        power = F.pow(mult)
-        pt = power.support()[0]
-        unit_scalar = ring.div(poly.terms[pt], power.terms[pt])
-        assert power.scale(unit_scalar) == poly
-        return PrimePower(F, mult, unit_scalar, _is_binomial(F))
+        power = _prime_power(rest, *classes[0])
+        assert power is not None
+        return power
 
     if monic_last:
         G, H = _normalize_monic_last(G, H)
     assert G * H == poly
     return SplitRequest(G, H)
-
-
-def _mul_lists(a, b, ring):
-    from .unifactor import pmul
-
-    return pmul(a, b, ring)
 
 
 def _normalize_min_term(F):
@@ -507,15 +468,24 @@ def _normalize_min_term(F):
     return F.scale(ring.invert(F.terms[pt]))
 
 
-def _normalize_monic_last(G, H):
-    """Scale G so its top term in the last variable is the bare monomial."""
-    ring = G.ring
+def _top_in_last(G):
+    """(d, c) with d the degree of G in the last variable and c the
+    coefficient of the bare monomial y^d when that is G's only term of
+    degree d; c is None otherwise."""
     d = max(e[-1] for e in G.terms)
     tops = [e for e in G.terms if e[-1] == d]
     if len(tops) != 1 or any(tops[0][:-1]):
+        return d, None
+    return d, G.terms[tops[0]]
+
+
+def _normalize_monic_last(G, H):
+    """Scale G so its top term in the last variable is the bare monomial."""
+    ring = G.ring
+    lam = _top_in_last(G)[1]
+    if lam is None:
         raise InvalidSplit(PRODUCT_MISMATCH,
                            "split part cannot be normalized to be monic in the last variable")
-    lam = G.terms[tops[0]]
     if lam == ring.one():
         return G, H
     return G.scale(ring.invert(lam)), H.scale(lam)
@@ -525,26 +495,31 @@ def edge_prime_power_test(rest, seed=0):
     """If the restriction is unit * F^k for a single irreducible univariate
     class and the content is a compatible k-th power, return that PrimePower;
     otherwise None.  F is irreducible precisely when the content is trivial."""
-    ring = rest.poly.ring
     if degree(list(rest.univariate)) < 1:
         return None
-    unit, classes = factor_univariate(ring, list(rest.univariate), seed)
+    unit, classes = factor_univariate(rest.poly.ring, list(rest.univariate), seed)
     if len(classes) != 1:
         return None
-    base, mult = classes[0]
-    support = rest.poly.support()
-    content = support[0]
-    for point in support[1:]:
-        content = exp_min(content, point)
+    return _prime_power(rest, *classes[0])
+
+
+def _prime_power(rest, base, mult):
+    """The PrimePower certificate rest.poly = unit * F^mult, where F is the
+    edge polynomial of the univariate class ``base`` times the mult-th root
+    of the content; None when the content has no such root or the power
+    misses the restriction."""
+    poly = rest.poly
+    ring = poly.ring
+    content = _content(poly)
     if any(c % mult for c in content):
         return None
     root = tuple(c // mult for c in content)
-    F = edge_poly_from_univariate(ring, rest.poly.nvars, rest.edge.direction, base)
+    F = edge_poly_from_univariate(ring, poly.nvars, rest.edge.direction, base)
     F = _normalize_min_term(F.mul_monomial(root))
     power = F.pow(mult)
     pt = power.support()[0]
-    unit_scalar = ring.div(rest.poly.terms[pt], power.terms[pt])
-    if power.scale(unit_scalar) != rest.poly:
+    unit_scalar = ring.div(poly.terms[pt], power.terms[pt])
+    if power.scale(unit_scalar) != poly:
         return None
     return PrimePower(F, mult, unit_scalar, _is_binomial(F))
 

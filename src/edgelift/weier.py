@@ -18,11 +18,10 @@ from fractions import Fraction
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
 from .grading import orthogonal_basis
-from .lift import (EdgeRestriction, InvalidSplit, LiftCertificate, LiftError,
-                   LiftStep, NotLoose, PrimePower, SplitRequest, Unsolvable,
-                   _line_form, _run_lift, _split_from_restriction,
-                   _uniform_weight, coprime_check, edge_restriction,
-                   solve_cofactor)
+from .lift import (EdgeRestriction, LiftCertificate, LiftError, LiftStep, NotLoose,
+                   PrimePower, Unsolvable, _line_form, _run_lift,
+                   _split_from_restriction, _top_in_last, _uniform_weight,
+                   _validate_split, edge_restriction, solve_cofactor)
 from .poly import SparsePoly, deglex_key
 from .unifactor import degree, padd, pmul, psub, trim
 
@@ -71,10 +70,8 @@ def descendant_loose_edges(wi):
 def _monic_in_y(G):
     """Check that G's top term in the last variable is the bare monomial
     (0, ..., 0, d) with coefficient one."""
-    d = max(e[-1] for e in G.terms)
-    tops = [e for e in G.terms if e[-1] == d]
-    return (len(tops) == 1 and not any(tops[0][:-1])
-            and G.terms[tops[0]] == G.ring.one()), d
+    d, lead = _top_in_last(G)
+    return lead == G.ring.one(), d
 
 
 def lift_monic(wi, edge, split, bound):
@@ -86,17 +83,11 @@ def lift_monic(wi, edge, split, bound):
     if not edge.descendant:
         raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
     rest = edge_restriction(f, edge)
-    G, H = split.G, split.H
-    if not G or not H:
-        raise InvalidSplit("ProductMismatch", "split parts must be nonzero")
-    ok, d = _monic_in_y(G)
+    _validate_split(split, rest.poly)
+    ok, d = _monic_in_y(split.G)
     if not ok:
         raise NotMonic("G must be monic in the last variable")
-    if G * H != rest.poly:
-        raise InvalidSplit("ProductMismatch", "G*H differs from the edge restriction")
-    if not coprime_check(G, H):
-        raise InvalidSplit("NotCoprime", "G and H share a factor")
-    gbar, hbar, cert = _run_lift(f, rest.ws, G, H, bound)
+    gbar, hbar, cert = _run_lift(f, rest.ws, split.G, split.H, bound)
     assert gbar.coeff((0,) * (f.nvars - 1) + (d,)) == f.ring.one()
     return gbar, hbar, cert
 
@@ -334,8 +325,9 @@ def padic_newton_factor(pp, seed=0):
     failure = None
     for edge in edges:
         rest_terms = {}
+        edge_points = set(edge.lattice_points())
         for v, j in support:
-            if (v, j) in set(edge.lattice_points()):
+            if (v, j) in edge_points:
                 unit = (coeffs[j] // p**v) % p
                 if unit:
                     rest_terms[(v, j)] = unit

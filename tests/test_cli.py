@@ -1,6 +1,13 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from edgelift import newton
 from edgelift.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 EXAMPLE1 = "x^6*y^2 - z^4 + x*y*z^4 - x^7*y^5*z^2"
 EXAMPLE2 = "x*y*z + x^3*y^3 + x^3*z^3 + y^3*z^3"
@@ -156,3 +163,35 @@ def test_seed_determinism(capsys):
     main(["factor", EXAMPLE1, "--bound", "40", "--seed", "7"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_golden_output(case, capsys):
+    """Byte-exact stdout and exit code of each request in golden/cases.json;
+    the expected stdout is golden/<name>.out."""
+    code = main(case["argv"])
+    assert capsys.readouterr().out == (GOLDEN / f"{case['name']}.out").read_text()
+    assert code == case["exit"]
+
+
+def test_one_polyhedron_per_request(monkeypatch, capsys):
+    builds = []
+    original = newton.build_from_support
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "build_from_support", counting)
+
+    def count(argv):
+        builds.clear()
+        main(argv)
+        capsys.readouterr()
+        return len(builds)
+
+    assert count(["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3",
+                  "--split", "x3+x1*x2,x1*x2"]) == 1
+    assert count(["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"]) == 1
+    # the witness builds once more inside reducibility_witness
+    assert count(["factor", EXAMPLE1, "--bound", "12"]) == 2

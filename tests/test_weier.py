@@ -6,7 +6,8 @@ import pytest
 from edgelift.coeffs import prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
-from edgelift.lift import SplitRequest, _split_from_restriction, edge_restriction
+from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, InvalidSplit, SplitRequest,
+                           _split_from_restriction, edge_restriction)
 from edgelift.newton import build
 from edgelift.poly import SparsePoly, WeightedBound
 from edgelift.unifactor import pmul, trim
@@ -88,6 +89,31 @@ def test_lift_monic_validation():
     if non_descendant:
         with pytest.raises(NotDescendant):
             lift_monic(wi, non_descendant[0], not_monic, bound)
+
+
+def test_lift_monic_rejects_invalid_splits():
+    wi = example3()
+    edge = descendant_loose_edges(wi)[0]
+    rest = edge_restriction(wi.f, edge)
+    good = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    bound = WeightedBound(orthogonal_basis(edge.direction).xi0, 30)
+    zero = SparsePoly.zero(3, Q)
+    bad = [SplitRequest(zero, good.H), SplitRequest(good.G, zero),
+           SplitRequest(good.G, good.H.scale(Fraction(2)))]
+    for split in bad:
+        with pytest.raises(InvalidSplit) as err:
+            lift_monic(wi, edge, split, bound)
+        assert err.value.reason == PRODUCT_MISMATCH
+
+    vt = VarTable(("x", "y"))
+    wi2 = WeierstrassInput(parse("y^2 - 2*x*y + x^2 + x^3", vt, Q))
+    edge2 = descendant_loose_edges(wi2)[0]
+    square_root = parse("y - x", vt, Q)
+    assert edge_restriction(wi2.f, edge2).poly == square_root * square_root
+    with pytest.raises(InvalidSplit) as err:
+        lift_monic(wi2, edge2, SplitRequest(square_root, square_root),
+                   WeightedBound(orthogonal_basis(edge2.direction).xi0, 8))
+    assert err.value.reason == NOT_COPRIME
 
 
 def test_weierstrass_normalize_identity_case():
