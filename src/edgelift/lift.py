@@ -16,7 +16,7 @@ from functools import reduce
 
 from . import newton
 from .coeffs import RESIDUE_RING
-from .grading import NoIntegralPoint, WeightSystem, orthogonal_basis
+from .grading import WeightSystem, orthogonal_basis
 from .linalg import solve_field
 from .poly import (SparsePoly, deglex_key, exp_add, exp_min, exp_neg, exp_sub,
                    primitive_vector)
@@ -265,20 +265,27 @@ def _uniform_weight(P, ws):
     return weights.pop()
 
 
-def _slice_points(ws, w, max_last_exp=None):
-    try:
-        points = ws.slice(w).points
-    except NoIntegralPoint:
-        return ()
+def _slice_points(ws, w, anchor, max_last_exp=None):
+    points = ws.slice(w, anchor=anchor).points
     if max_last_exp is not None:
         points = tuple(p for p in points if p[-1] <= max_last_exp)
     return points
 
 
-def _block_caps(max_last_exp):
-    if max_last_exp is None or isinstance(max_last_exp, int):
-        return max_last_exp, max_last_exp
-    return max_last_exp
+def _cofactor_slices(G, H, r, ws, wr, caps=(None, None)):
+    """Rows, h'-columns and g'-columns of the cofactor system at r's weight.
+
+    The weight map is additive, so for a term p of r and terms alpha of G,
+    beta of H, the slices are anchored at points they contain: p for the
+    rows, p - alpha for h' and p - beta for g'."""
+    p = next(iter(r.terms))
+    alpha = next(iter(G.terms))
+    beta = next(iter(H.terms))
+    h_cap, g_cap = caps
+    rows = ws.slice(wr, anchor=p).points
+    h_pts = _slice_points(ws, exp_sub(wr, ws.weight(alpha)), exp_sub(p, alpha), h_cap)
+    g_pts = _slice_points(ws, exp_sub(wr, ws.weight(beta)), exp_sub(p, beta), g_cap)
+    return rows, h_pts, g_pts
 
 
 def solve_cofactor(G, H, r, ws, max_last_exp=None):
@@ -289,24 +296,27 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     ordered h'-block then g'-block, each in degree-lex order, and the first
     valid pivot in that order is taken, so the solution with all free
     coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
-    last-variable exponent of the slice bases, either one bound for both
-    blocks or a (h_cap, g_cap) pair.  Raises Unsolvable when the system is
-    inconsistent, which signals a violated hypothesis (or too tight a cap).
+    last-variable exponent of the slice bases as a (h_cap, g_cap) pair.
+    Raises Unsolvable when the system is inconsistent, which signals a
+    violated hypothesis (or too tight a cap).
     """
     ring = r.ring
     if G.ring != ring or H.ring != ring:
         raise InvalidSplit(PRODUCT_MISMATCH, "split and residual rings differ")
-    nvars = r.nvars
     if not r:
-        zero = SparsePoly.zero(nvars, ring)
+        zero = SparsePoly.zero(r.nvars, ring)
         return zero, zero
-    w = _uniform_weight(G, ws)
-    z = _uniform_weight(H, ws)
+    _uniform_weight(G, ws)  # G and H must be weight-homogeneous too
+    _uniform_weight(H, ws)
     wr = _uniform_weight(r, ws)
-    h_cap, g_cap = _block_caps(max_last_exp)
-    h_pts = _slice_points(ws, exp_sub(wr, w), h_cap)
-    g_pts = _slice_points(ws, exp_sub(wr, z), g_cap)
-    rows_pts = ws.slice(wr).points
+    slices = _cofactor_slices(G, H, r, ws, wr, max_last_exp or (None, None))
+    return _solve_in_slices(G, H, r, wr, *slices)
+
+
+def _solve_in_slices(G, H, r, wr, rows_pts, h_pts, g_pts):
+    """The cofactor solve of solve_cofactor on already enumerated slices."""
+    ring = r.ring
+    nvars = r.nvars
     row_index = {p: i for i, p in enumerate(rows_pts)}
     for point in r.terms:
         assert point in row_index, "residual leaves its own slice"
@@ -348,7 +358,7 @@ def _lift_from_residue(P, ring):
     return P.map_coefficients(ring, ring.lift_residue)
 
 
-def _run_lift(f, ws, G, H, bound, max_last_exp=None):
+def _run_lift(f, ws, G, H, bound):
     """Shared residual-driven loop behind the plain and monic lifts.
 
     Progress over Z/p^k is measured on the mod-p image of the residual; over
@@ -376,13 +386,11 @@ def _run_lift(f, ws, G, H, bound, max_last_exp=None):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         initial = visible.restrict_to(
             [e for e in visible.terms if ws.weight(e) == wmin])
-        h_part, g_part = solve_cofactor(G, H, initial, ws, max_last_exp)
-        h_cap, g_cap = _block_caps(max_last_exp)
-        dims = (len(_slice_points(ws, exp_sub(wmin, w), h_cap)),
-                len(_slice_points(ws, exp_sub(wmin, z), g_cap)))
+        rows, h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin)
+        h_part, g_part = _solve_in_slices(G, H, initial, wmin, rows, h_pts, g_pts)
         g = g + _lift_from_residue(g_part, ring)
         h = h + _lift_from_residue(h_part, ring)
-        cert.steps.append(LiftStep(step, dims, sum(wmin)))
+        cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin)))
     remainder = _to_residue_poly(f - g * h)
     cert.exit_min_weight = remainder.min_weighted_degree(ws.xi0)
     return g, h, cert

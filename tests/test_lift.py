@@ -437,3 +437,39 @@ def test_factor_edge_univariate_unsupported_ring():
 
     with pytest.raises(UnsupportedRing):
         factor_edge_univariate([1, 1], residue_ring(2, 4))
+
+
+def test_lift_steps_enumerate_each_slice_once(monkeypatch):
+    """Each lift step enumerates its row slice and its two column slices once,
+    anchored at a residual term, so the loop runs no Hermite solve."""
+    import edgelift.grading as grading
+    from edgelift.grading import WeightSystem
+    from edgelift.weier import PadicPoly, padic_newton_factor
+
+    calls = {"solve_integer": 0, "slice": 0}
+    solve_integer, slice_ = grading.solve_integer, WeightSystem.slice
+
+    def counting_solve(*args, **kwargs):
+        calls["solve_integer"] += 1
+        return solve_integer(*args, **kwargs)
+
+    def counting_slice(*args, **kwargs):
+        calls["slice"] += 1
+        return slice_(*args, **kwargs)
+
+    monkeypatch.setattr(grading, "solve_integer", counting_solve)
+    monkeypatch.setattr(WeightSystem, "slice", counting_slice)
+
+    f = parse(EXAMPLE1, XYZ, Q)
+    e = build(f).edges[0]
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+    bound = WeightedBound(orthogonal_basis(e.direction).xi0, 40)
+    calls.update(solve_integer=0, slice=0)
+    _, _, cert = lift_factorization(f, e, split, bound)
+    assert cert.steps
+    assert calls == {"solve_integer": 0, "slice": 3 * len(cert.steps)}
+
+    calls.update(solve_integer=0, slice=0)
+    steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
+    assert steps
+    assert calls == {"solve_integer": 0, "slice": 3 * len(steps)}
