@@ -306,7 +306,7 @@ def cmd_padic(args):
     plane_vars = expr.VarTable(("p", "y"))
     ring = residue_ring(args.prime, args.prec)
     f = expr.parse(_load_expression(args), vars_, ring)
-    coeffs = [0] * (max(e[0] for e in f.terms) + 1)
+    coeffs = [0] * (max((e[0] for e in f.terms), default=0) + 1)
     for e, c in f.terms.items():
         coeffs[e[0]] = int(c)
     pp = weier.PadicPoly(tuple(coeffs), args.prime, args.prec)
@@ -376,8 +376,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (lift.LiftError, weier.LiftError, NoMixedSigns,
-            UnsupportedRing, DegreeTooLarge) as err:
+    except (lift.LiftError, NoMixedSigns, UnsupportedRing, DegreeTooLarge) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (expr.ExprError, NotInvertible, newton.ZeroPolynomial,

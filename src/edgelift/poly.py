@@ -159,22 +159,16 @@ class SparsePoly:
 
     def __add__(self, other):
         self._check_compatible(other)
-        ring = self.ring
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = ring.add(out.get(e, ring.zero()), c)
-            if ring.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return SparsePoly(self.nvars, ring, out)
+            out[e] = out.get(e, 0) + c
+        return SparsePoly(self.nvars, self.ring, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        ring = self.ring
-        return SparsePoly(self.nvars, ring, {e: ring.neg(c) for e, c in self.terms.items()})
+        return SparsePoly(self.nvars, self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         return self.mul(other)
@@ -182,7 +176,6 @@ class SparsePoly:
     def mul(self, other, trunc=None):
         """Exact product; with ``trunc`` terms above the weighted bound are dropped."""
         self._check_compatible(other)
-        ring = self.ring
         left = self.terms
         right = other.terms
         if trunc is not None:
@@ -198,30 +191,19 @@ class SparsePoly:
                 e = exp_add(e1, e2)
                 if trunc is not None and not trunc.admits(e):
                     continue
-                s = ring.add(out.get(e, ring.zero()), ring.mul(c1, c2))
-                if ring.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePoly(self.nvars, ring, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return SparsePoly(self.nvars, self.ring, out)
 
     def scale(self, coeff):
-        ring = self.ring
-        coeff = ring.normalize(coeff)
-        if ring.is_zero(coeff):
-            return SparsePoly.zero(self.nvars, ring)
-        return SparsePoly(self.nvars, ring,
-                          {e: ring.mul(c, coeff) for e, c in self.terms.items()})
+        return SparsePoly(self.nvars, self.ring, {e: c * coeff for e, c in self.terms.items()})
 
     def mul_monomial(self, exponent, coeff=None):
         """Multiply by coeff * x^exponent; entries of ``exponent`` may be negative."""
-        ring = self.ring
         if coeff is None:
-            coeff = ring.one()
+            coeff = self.ring.one()
         exponent = tuple(exponent)
-        return SparsePoly(self.nvars, ring,
-                          {exp_add(e, exponent): ring.mul(c, coeff)
-                           for e, c in self.terms.items()})
+        return SparsePoly(self.nvars, self.ring,
+                          {exp_add(e, exponent): c * coeff for e, c in self.terms.items()})
 
     def pow(self, n):
         if n < 0:

@@ -45,33 +45,30 @@ def degree(cs):
 
 
 def padd(a, b, ring):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero()
-        y = b[i] if i < len(b) else ring.zero()
-        out.append(ring.add(x, y))
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
     return trim(out, ring)
 
 
 def psub(a, b, ring):
-    return padd(a, [ring.neg(c) for c in b], ring)
+    return padd(a, [-c for c in b], ring)
 
 
 def pmul(a, b, ring):
     if not a or not b:
         return []
-    out = [ring.zero()] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if ring.is_zero(x):
+        if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+            out[i + j] += x * y
     return trim(out, ring)
 
 
 def pscale(a, c, ring):
-    return trim([ring.mul(x, c) for x in a], ring)
+    return trim([x * c for x in a], ring)
 
 
 def pdivmod(a, b, ring):

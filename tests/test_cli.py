@@ -111,6 +111,16 @@ def test_padic_p5(capsys):
     assert report["verdict"] == "no_coprime_split"
 
 
+@pytest.mark.parametrize("text", ["2^5*y + 32", "0"])
+def test_padic_zero_in_residue_ring_exits_3(text, capsys):
+    # Both inputs vanish in Z/2^5, so the polygon does not exist.
+    code = main(["padic", "-p", "2", "--prec", "5", text])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "the zero polynomial has no Newton polygon"}
+
+
 def test_verify_pass_and_fail(capsys):
     code, report = run(capsys, [
         "verify", "x^2 - y^2", "x - y", "x + y", "--vars", "x,y", "--bound", "5"])

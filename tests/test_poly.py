@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from edgelift.coeffs import RingMismatch, prime_field, rationals
+from edgelift.coeffs import RingMismatch, prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse
 from edgelift.poly import SparsePoly, WeightedBound, exp_add, multiply, weighted_truncate
 
@@ -11,16 +11,28 @@ Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
 
 
+def random_scalar(ring, rng):
+    """A scalar of ``ring``; over Z/p^k a third are powers of p (zero divisors)."""
+    if ring.kind == "Q":
+        return Fraction(rng.randint(-9, 9))
+    if ring.k > 1 and rng.random() < 1 / 3:
+        return ring.p ** rng.randint(1, ring.k - 1)
+    return rng.randrange(ring.modulus)
+
+
 def random_poly(nvars, ring, rng, max_terms=6, max_exp=5):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         e = tuple(rng.randint(0, max_exp) for _ in range(nvars))
-        if ring.kind == "Q":
-            c = Fraction(rng.randint(-9, 9))
-        else:
-            c = rng.randrange(ring.modulus)
-        terms[e] = terms.get(e, ring.zero()) + c
+        terms[e] = terms.get(e, ring.zero()) + random_scalar(ring, rng)
     return SparsePoly(nvars, ring, terms)
+
+
+def assert_canonical(f):
+    """Every stored coefficient is nonzero, of the ring's scalar type, and reduced."""
+    scalar = Fraction if f.ring.kind == "Q" else int
+    for c in f.terms.values():
+        assert c != 0 and type(c) is scalar and f.ring.normalize(c) == c
 
 
 def test_multiply_basic():
@@ -73,7 +85,8 @@ def test_no_stored_zero_coefficients():
     assert not g.terms and not g
 
 
-@pytest.mark.parametrize("ring", [Q, prime_field(7)], ids=str)
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 6), residue_ring(3, 4)],
+                         ids=str)
 def test_ring_laws_randomized(ring):
     rng = random.Random(9001)
     for _ in range(120):
@@ -83,6 +96,12 @@ def test_ring_laws_randomized(ring):
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         assert f * g == g * f
+        c = random_scalar(ring, rng)
+        shift = tuple(rng.randint(0, 3) for _ in range(3))
+        bound = WeightedBound((1, 2, 1), rng.randint(0, 12))
+        for result in (f + g, f - g, -f, f * g, f.mul(g, bound), f.scale(c),
+                       f.mul_monomial(shift, c)):
+            assert_canonical(result)
 
 
 def test_product_support_in_minkowski_sum():

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from edgelift.coeffs import prime_field, rationals, residue_ring
+from edgelift.poly import SparsePoly
 from edgelift.unifactor import (DegreeTooLarge, UnsupportedRing, degree,
-                                factor_univariate, pgcd, pmul, ppow, trim)
+                                factor_univariate, padd, pgcd, pmul, ppow, pscale,
+                                psub, trim)
 
 Q = rationals()
 
@@ -112,3 +114,35 @@ def test_factor_list_deterministic_across_seeds():
     runs = {tuple(tuple(c) for c, m in factor_univariate(ring, f, seed=s)[1])
             for s in range(5)}
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 6), residue_ring(3, 4)],
+                         ids=str)
+def test_dense_arithmetic_matches_sparse(ring):
+    rng = random.Random(2718)
+
+    def scalar():
+        if ring.kind == "Q":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        if ring.k > 1 and rng.random() < 1 / 3:
+            return ring.p ** rng.randint(1, ring.k - 1)  # a zero divisor
+        return rng.randrange(ring.modulus)
+
+    def sparse(cs):
+        return SparsePoly(1, ring, {(i,): c for i, c in enumerate(cs)})
+
+    def dense(f):
+        return [f.coeff((i,)) for i in range(max((e[0] for e in f.terms), default=-1) + 1)]
+
+    for _ in range(150):
+        a = trim([scalar() for _ in range(rng.randint(0, 6))], ring)
+        b = trim([scalar() for _ in range(rng.randint(0, 6))], ring)
+        c = scalar()
+        assert pmul(a, b, ring) == dense(sparse(a) * sparse(b))
+        assert padd(a, b, ring) == dense(sparse(a) + sparse(b))
+        assert psub(a, b, ring) == dense(sparse(a) - sparse(b))
+        assert pscale(a, c, ring) == dense(sparse(a).scale(c))
+
+
+def test_dense_product_of_zero_divisors_is_zero():
+    assert pmul([0, 8], [8], residue_ring(2, 6)) == []
