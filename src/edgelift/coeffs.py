@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 RATIONALS = "Q"
@@ -91,9 +92,9 @@ class RingDescriptor:
 
     # -- basic queries -------------------------------------------------------
 
-    @property
+    @cached_property
     def modulus(self):
-        """p^k for residue rings, p for prime fields, None over Q."""
+        """p^k for residue rings, p for prime fields, None over Q; computed once."""
         if self.kind == RATIONALS:
             return None
         return self.p**self.k

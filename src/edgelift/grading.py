@@ -74,11 +74,13 @@ class WeightSystem:
             raise ValueError("exponent has wrong length")
         return tuple(exp_dot(v, alpha) for v in self.basis[:-1])
 
-    def slice(self, w, anchor=None):
+    def slice(self, w, anchor=None, max_last=None):
         """The graded piece of weight w: the lattice points of the line
         { omega = w } clipped to the nonnegative orthant, ordered by direction
-        steps.  Raises NoIntegralPoint when the line has no lattice point at
-        all (as opposed to an empty intersection with the orthant)."""
+        steps.  With ``max_last`` only the points whose last coordinate is at
+        most max_last are built.  Raises NoIntegralPoint when the line has no
+        lattice point at all (as opposed to an empty intersection with the
+        orthant)."""
         w = tuple(w)
         if anchor is not None:
             anchor = tuple(anchor)
@@ -94,6 +96,16 @@ class WeightSystem:
                 self.direction, tuple(-x for x in self.direction))
             base = tuple(base)
         lo, hi = _orthant_range(base, self.direction)
+        if lo is not None and max_last is not None:
+            # base[-1] + t*d <= max_last bounds t above for d > 0, below for
+            # d < 0, and for d = 0 keeps the whole line or none of it.
+            room, d = max_last - base[-1], self.direction[-1]
+            if d > 0:
+                hi = min(hi, room // d)
+            elif d < 0:
+                lo = max(lo, -(room // -d))
+            elif room < 0:
+                return GradedSlice(w, ())
         if lo is None or lo > hi:
             return GradedSlice(w, ())
         points = []

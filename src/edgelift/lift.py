@@ -265,34 +265,28 @@ def _uniform_weight(P, ws):
     return weights.pop()
 
 
-def _slice_points(ws, w, anchor, max_last_exp=None):
-    points = ws.slice(w, anchor=anchor).points
-    if max_last_exp is not None:
-        points = tuple(p for p in points if p[-1] <= max_last_exp)
-    return points
-
-
 def _cofactor_slices(G, H, r, ws, wr, caps=(None, None)):
-    """Rows, h'-columns and g'-columns of the cofactor system at r's weight.
+    """h'-columns and g'-columns of the cofactor system at r's weight.
 
     The weight map is additive, so for a term p of r and terms alpha of G,
-    beta of H, the slices are anchored at points they contain: p for the
-    rows, p - alpha for h' and p - beta for g'."""
+    beta of H, the column slices are anchored at points they contain:
+    p - alpha for h' and p - beta for g'.  The caps bound their last
+    coordinates."""
     p = next(iter(r.terms))
     alpha = next(iter(G.terms))
     beta = next(iter(H.terms))
     h_cap, g_cap = caps
-    rows = ws.slice(wr, anchor=p).points
-    h_pts = _slice_points(ws, exp_sub(wr, ws.weight(alpha)), exp_sub(p, alpha), h_cap)
-    g_pts = _slice_points(ws, exp_sub(wr, ws.weight(beta)), exp_sub(p, beta), g_cap)
-    return rows, h_pts, g_pts
+    h_pts = ws.slice(exp_sub(wr, ws.weight(alpha)), exp_sub(p, alpha), h_cap).points
+    g_pts = ws.slice(exp_sub(wr, ws.weight(beta)), exp_sub(p, beta), g_cap).points
+    return h_pts, g_pts
 
 
 def solve_cofactor(G, H, r, ws, max_last_exp=None):
     """Solve G*h' + H*g' = r inside the graded pieces.
 
     Unknowns are the coefficients of h' and g' on the lattice bases of their
-    slices; equations are indexed by the slice of r's weight.  Columns are
+    slices; equations are indexed by the points of r's slice that some
+    column or a term of r reaches.  Columns are
     ordered h'-block then g'-block, each in degree-lex order, and the first
     valid pivot in that order is taken, so the solution with all free
     coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
@@ -313,23 +307,26 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     return _solve_in_slices(G, H, r, wr, *slices)
 
 
-def _solve_in_slices(G, H, r, wr, rows_pts, h_pts, g_pts):
-    """The cofactor solve of solve_cofactor on already enumerated slices."""
+def _solve_in_slices(G, H, r, wr, h_pts, g_pts):
+    """The cofactor solve of solve_cofactor on already enumerated columns.
+
+    The rows are the points the columns reach plus r's own terms: every
+    other point of r's slice gives an all-zero row, and with free variables
+    set to zero the solution depends only on the column order."""
     ring = r.ring
     nvars = r.nvars
-    row_index = {p: i for i, p in enumerate(rows_pts)}
-    for point in r.terms:
-        assert point in row_index, "residual leaves its own slice"
-
     ncols = len(h_pts) + len(g_pts)
-    matrix = [[ring.zero()] * ncols for _ in rows_pts]
-    for col, point in enumerate(h_pts):
-        for e, c in G.terms.items():
-            matrix[row_index[exp_add(e, point)]][col] = c
-    for col, point in enumerate(g_pts):
-        for e, c in H.terms.items():
-            matrix[row_index[exp_add(e, point)]][len(h_pts) + col] = c
-    rhs = [r.terms.get(p, ring.zero()) for p in rows_pts]
+    columns = [(G, point) for point in h_pts] + [(H, point) for point in g_pts]
+    rows = {}
+    entries = [(rows.setdefault(exp_add(e, point), len(rows)), col, c)
+               for col, (factor, point) in enumerate(columns)
+               for e, c in factor.terms.items()]
+    for point in r.terms:
+        rows.setdefault(point, len(rows))
+    matrix = [[ring.zero()] * ncols for _ in rows]
+    for i, col, c in entries:
+        matrix[i][col] = c
+    rhs = [r.terms.get(point, ring.zero()) for point in rows]
 
     solution = solve_field(ring, matrix, rhs) if ncols else None
     if solution is None:
@@ -361,8 +358,10 @@ def _lift_from_residue(P, ring):
 def _run_lift(f, ws, G, H, bound):
     """Shared residual-driven loop behind the plain and monic lifts.
 
-    Progress over Z/p^k is measured on the mod-p image of the residual; over
-    a field the residual itself is cleared exactly.
+    The truncated residual f - g*h is formed once and then updated by the
+    two products each correction adds.  Progress over Z/p^k is measured on
+    the mod-p image of the residual; over a field the residual itself is
+    cleared exactly.
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
@@ -370,8 +369,9 @@ def _run_lift(f, ws, G, H, bound):
     g, h = _lift_from_residue(G, ring), _lift_from_residue(H, ring)
     cert = LiftCertificate(w, z, bound.bound)
     previous = None
+    residual = (f - g.mul(h, bound)).truncate(bound)
     while True:
-        visible = _to_residue_poly((f - g.mul(h, bound)).truncate(bound))
+        visible = _to_residue_poly(residual)
         if cert.steps:
             cert.steps[-1].residual_after = visible.min_weighted_degree(ws.xi0)
         if not visible:
@@ -386,10 +386,14 @@ def _run_lift(f, ws, G, H, bound):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         initial = visible.restrict_to(
             [e for e in visible.terms if ws.weight(e) == wmin])
-        rows, h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin)
-        h_part, g_part = _solve_in_slices(G, H, initial, wmin, rows, h_pts, g_pts)
-        g = g + _lift_from_residue(g_part, ring)
-        h = h + _lift_from_residue(h_part, ring)
+        h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin)
+        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts)
+        g_part = _lift_from_residue(g_part, ring)
+        h_part = _lift_from_residue(h_part, ring)
+        # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
+        h = h + h_part
+        residual = residual - g_part.mul(h, bound) - g.mul(h_part, bound)
+        g = g + g_part
         cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin)))
     remainder = _to_residue_poly(f - g * h)
     cert.exit_min_weight = remainder.min_weighted_degree(ws.xi0)

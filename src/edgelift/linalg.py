@@ -41,13 +41,20 @@ def solve_field(ring, rows, rhs):
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         b[r], b[pivot_row] = b[pivot_row], b[r]
-        inv = ring.invert(a[r][col])
-        a[r] = [ring.mul(v, inv) for v in a[r]]
+        # Rows r.. are zero left of col, so the pivot row's nonzero entries,
+        # all from col on, are the only columns an elimination changes.
+        pivot = a[r]
+        inv = ring.invert(pivot[col])
+        support = [j for j in range(col, n) if not ring.is_zero(pivot[j])]
+        for j in support:
+            pivot[j] = ring.mul(pivot[j], inv)
         b[r] = ring.mul(b[r], inv)
         for i in range(m):
-            if i != r and not ring.is_zero(a[i][col]):
-                f = a[i][col]
-                a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[r])]
+            row = a[i]
+            if i != r and not ring.is_zero(row[col]):
+                f = row[col]
+                for j in support:
+                    row[j] = ring.sub(row[j], ring.mul(f, pivot[j]))
                 b[i] = ring.sub(b[i], ring.mul(f, b[r]))
         pivots.append(col)
         r += 1

@@ -123,6 +123,29 @@ def test_slice_points_consistency():
             assert tuple(y - x for x, y in zip(p, q)) == ws.direction
 
 
+
+def test_slice_cap_equals_filtered_slice():
+    """The capped slice is the uncapped one filtered by p[-1] <= max_last,
+    in the same order, whatever the sign of the direction's last entry."""
+    rng = random.Random(4004)
+    signs = {-1: 0, 0: 0, 1: 0}
+    directions = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+    directions += [random_direction(rng, rng.randint(2, 4)) for _ in range(120)]
+    for c in directions:
+        ws = orthogonal_basis(c)
+        alpha = tuple(rng.randint(0, 8) for _ in range(len(c)))
+        w = ws.weight(alpha)
+        full = ws.slice(w, anchor=alpha).points
+        lasts = [p[-1] for p in full]
+        caps = {min(lasts) - 1, min(lasts), max(lasts), max(lasts) + 3,
+                rng.randint(min(lasts), max(lasts))}
+        for cap in caps:
+            capped = ws.slice(w, anchor=alpha, max_last=cap)
+            assert capped.weight == w
+            assert capped.points == tuple(p for p in full if p[-1] <= cap)
+        signs[(c[-1] > 0) - (c[-1] < 0)] += 1
+    assert min(signs.values()) >= 3
+
 def test_in_monoid_basics():
     ws = weight_32()
     assert ws.in_monoid((0,))

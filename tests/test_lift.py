@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from edgelift.coeffs import prime_field, rationals
+from edgelift.coeffs import prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
 from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
@@ -13,8 +13,8 @@ from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
                            coprime_check, edge_poly_from_univariate,
                            edge_prime_power_test, edge_restriction,
                            edge_univariate, factor_edge_univariate,
-                           lift_factorization, reducibility_witness, restrict,
-                           solve_cofactor)
+                           Unsolvable, lift_factorization, reducibility_witness,
+                           restrict, solve_cofactor)
 from edgelift.newton import Edge, build
 from edgelift.poly import SparsePoly, WeightedBound, exp_add
 
@@ -125,6 +125,19 @@ def test_solve_cofactor_frozen_instance():
     assert G * hp + H * gp == r
     assert hp == parse("x3^2", X123, Q)
     assert gp == parse("-x3^2", X123, Q)
+
+
+def test_solve_cofactor_unreachable_residual_term():
+    # Every term of G and H is divisible by x, so no column reaches y^3:
+    # its row is zero with a nonzero right-hand side.
+    vt = VarTable(("x", "y"))
+    ws = orthogonal_basis((1, -1))
+    G = parse("x", vt, Q)
+    H = parse("x^2 + x*y", vt, Q)
+    hp, gp = solve_cofactor(G, H, parse("x^3", vt, Q), ws)
+    assert G * hp + H * gp == parse("x^3", vt, Q)
+    with pytest.raises(Unsolvable):
+        solve_cofactor(G, H, parse("x^3 + y^3", vt, Q), ws)
 
 
 def random_direction(rng, n):
@@ -300,18 +313,29 @@ def test_lift_faces_and_minkowski_sum():
 
 
 def test_lift_prefix_stability():
-    f = parse(EXAMPLE1, XYZ, Q)
-    e = build(f).edges[0]
-    ws = orthogonal_basis(e.direction)
-    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
-    g1, h1, _ = lift_factorization(f, e, split, WeightedBound(ws.xi0, 24))
-    g2, h2, _ = lift_factorization(f, e, split, WeightedBound(ws.xi0, 40))
-    z = sum(ws.weight(next(iter(split.H.terms))))
-    w = sum(ws.weight(next(iter(split.G.terms))))
-    cut_g = WeightedBound(ws.xi0, 24 - z)
-    cut_h = WeightedBound(ws.xi0, 24 - w)
-    assert g1.truncate(cut_g) == g2.truncate(cut_g)
-    assert h1.truncate(cut_h) == h2.truncate(cut_h)
+    """Over Q, F_7 and Z/5^4 (where the split is lifted from F_5), a lift at
+    a smaller bound is a prefix of one at a larger bound, and each clears
+    its truncated residual (mod 5 over Z/5^4)."""
+    for ring in (Q, prime_field(7), residue_ring(5, 4)):
+        K = ring.residue_field()
+        f = parse(EXAMPLE1, XYZ, ring)
+        e = build(f).edges[0]
+        ws = orthogonal_basis(e.direction)
+        split = SplitRequest(parse("x^3*y - z^2", XYZ, K), parse("x^3*y + z^2", XYZ, K))
+        lifts = {}
+        for N in (24, 40):
+            bound = WeightedBound(ws.xi0, N)
+            g, h, _ = lift_factorization(f, e, split, bound)
+            residual = (f - g * h).truncate(bound)
+            assert not residual.map_coefficients(K, ring.to_residue)
+            lifts[N] = g, h
+        (g1, h1), (g2, h2) = lifts[24], lifts[40]
+        z = sum(ws.weight(next(iter(split.H.terms))))
+        w = sum(ws.weight(next(iter(split.G.terms))))
+        cut_g = WeightedBound(ws.xi0, 24 - z)
+        cut_h = WeightedBound(ws.xi0, 24 - w)
+        assert g1.truncate(cut_g) == g2.truncate(cut_g)
+        assert h1.truncate(cut_h) == h2.truncate(cut_h)
 
 
 def test_support_weights_lie_in_monoid():
@@ -440,13 +464,16 @@ def test_factor_edge_univariate_unsupported_ring():
 
 
 def test_lift_steps_enumerate_each_slice_once(monkeypatch):
-    """Each lift step enumerates its row slice and its two column slices once,
-    anchored at a residual term, so the loop runs no Hermite solve."""
+    """Each lift step enumerates its two column slices once, anchored at a
+    residual term, so the loop runs no Hermite solve; the rows are the points
+    the columns reach, so the row slice is never enumerated.  A capped
+    p-adic column slice holds no point above its cap."""
     import edgelift.grading as grading
     from edgelift.grading import WeightSystem
     from edgelift.weier import PadicPoly, padic_newton_factor
 
     calls = {"solve_integer": 0, "slice": 0}
+    capped = []
     solve_integer, slice_ = grading.solve_integer, WeightSystem.slice
 
     def counting_solve(*args, **kwargs):
@@ -455,7 +482,11 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
 
     def counting_slice(*args, **kwargs):
         calls["slice"] += 1
-        return slice_(*args, **kwargs)
+        result = slice_(*args, **kwargs)
+        cap = kwargs.get("max_last", args[3] if len(args) > 3 else None)
+        assert cap is None or all(p[-1] <= cap for p in result.points)
+        capped.append(cap is not None)
+        return result
 
     monkeypatch.setattr(grading, "solve_integer", counting_solve)
     monkeypatch.setattr(WeightSystem, "slice", counting_slice)
@@ -467,9 +498,11 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
     calls.update(solve_integer=0, slice=0)
     _, _, cert = lift_factorization(f, e, split, bound)
     assert cert.steps
-    assert calls == {"solve_integer": 0, "slice": 3 * len(cert.steps)}
+    assert calls == {"solve_integer": 0, "slice": 2 * len(cert.steps)}
 
     calls.update(solve_integer=0, slice=0)
+    capped.clear()
     steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
     assert steps
-    assert calls == {"solve_integer": 0, "slice": 3 * len(steps)}
+    assert calls == {"solve_integer": 0, "slice": 2 * len(steps)}
+    assert all(capped)
