@@ -99,14 +99,6 @@ class RingDescriptor:
             return None
         return self.p**self.k
 
-    @property
-    def is_field(self):
-        return self.kind in (RATIONALS, PRIME_FIELD)
-
-    @property
-    def characteristic(self):
-        return 0 if self.kind == RATIONALS else self.p
-
     # -- element arithmetic --------------------------------------------------
 
     def zero(self):
@@ -196,13 +188,6 @@ class RingDescriptor:
     def scalar_str(self, a):
         """Exact string form of a scalar ("3", "-3/2", residues as integers)."""
         return str(a)
-
-    def scalar_from_str(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return self.from_fraction(Fraction(int(num), int(den)))
-        return self.from_int(int(text))
 
 
 def rationals():

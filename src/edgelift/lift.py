@@ -93,10 +93,21 @@ class PrimePower:
 
 @dataclass
 class LiftStep:
+    """One step of the lifting loop.
+
+    In ``factor`` and ``weierstrass`` reports ``weight`` is the residual's
+    least weight minus w + z, and ``slice_dims`` counts the h'- and
+    g'-columns of the step's cofactor system.  In ``padic`` reports
+    ``weight`` is the least weight itself and ``slice_dims`` counts the
+    nonzero terms of the solved h' and g' (``solved``).  The two meanings
+    differ only so that the reports stay what they were.
+    """
+
     weight: tuple
     slice_dims: tuple
     residual_before: int
     residual_after: int | None = None
+    solved: tuple = ()
 
     def to_dict(self):
         return {
@@ -355,23 +366,27 @@ def _lift_from_residue(P, ring):
     return P.map_coefficients(ring, ring.lift_residue)
 
 
-def _run_lift(f, ws, G, H, bound):
-    """Shared residual-driven loop behind the plain and monic lifts.
+def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residue,
+              caps_ladder=((None, None),)):
+    """The residual-driven loop behind the plain, monic and p-adic lifts.
 
-    The truncated residual f - g*h is formed once and then updated by the
-    two products each correction adds.  Progress over Z/p^k is measured on
-    the mod-p image of the residual; over a field the residual itself is
-    cleared exactly.
+    The residual f - g*h, truncated at ``bound`` (None: not truncated), is
+    formed once and then updated by the two products each correction adds.
+    ``view`` maps it to the graded residue-field polynomial the steps clear
+    (mod p over Z/p^k, the identity over a field, the plane model for
+    ``padic``), and ``embed(P, f.ring)`` carries a residue-field solution
+    back into f's ring.  Each step tries the (h_cap, g_cap) pairs of
+    ``caps_ladder`` in turn until a capped cofactor system is consistent.
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
-    g, h = _lift_from_residue(G, ring), _lift_from_residue(H, ring)
-    cert = LiftCertificate(w, z, bound.bound)
+    g, h = embed(G, ring), embed(H, ring)
+    cert = LiftCertificate(w, z, None if bound is None else bound.bound)
     previous = None
     residual = (f - g.mul(h, bound)).truncate(bound)
     while True:
-        visible = _to_residue_poly(residual)
+        visible = view(residual)
         if cert.steps:
             cert.steps[-1].residual_after = visible.min_weighted_degree(ws.xi0)
         if not visible:
@@ -386,16 +401,24 @@ def _run_lift(f, ws, G, H, bound):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         initial = visible.restrict_to(
             [e for e in visible.terms if ws.weight(e) == wmin])
-        h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin)
-        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts)
-        g_part = _lift_from_residue(g_part, ring)
-        h_part = _lift_from_residue(h_part, ring)
+        for caps in caps_ladder:
+            h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin, caps)
+            try:
+                h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts)
+                break
+            except Unsolvable as exc:
+                error = exc
+        else:
+            raise error
+        cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin),
+                                   solved=(len(h_part), len(g_part))))
+        g_part = embed(g_part, ring)
+        h_part = embed(h_part, ring)
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
         h = h + h_part
         residual = residual - g_part.mul(h, bound) - g.mul(h_part, bound)
         g = g + g_part
-        cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin)))
-    remainder = _to_residue_poly(f - g * h)
+    remainder = view(f - g * h)
     cert.exit_min_weight = remainder.min_weighted_degree(ws.xi0)
     return g, h, cert
 

@@ -165,7 +165,11 @@ class SparsePoly:
         return SparsePoly(self.nvars, self.ring, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) - c
+        return SparsePoly(self.nvars, self.ring, out)
 
     def __neg__(self):
         return SparsePoly(self.nvars, self.ring, {e: -c for e, c in self.terms.items()})
@@ -220,7 +224,9 @@ class SparsePoly:
     # -- support manipulation -------------------------------------------------
 
     def truncate(self, trunc):
-        """Keep exactly the terms with <weights, alpha> <= N."""
+        """Keep exactly the terms with <weights, alpha> <= N; None keeps all."""
+        if trunc is None:
+            return self
         return SparsePoly(self.nvars, self.ring,
                           {e: c for e, c in self.terms.items() if trunc.admits(e)})
 

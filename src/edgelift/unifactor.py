@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
 
-from .coeffs import PRIME_FIELD, RATIONALS, RESIDUE_RING, is_prime, prime_field, rationals
+from .coeffs import (PRIME_FIELD, RATIONALS, RESIDUE_RING, is_prime, prime_field,
+                     rationals, residue_ring)
 
 _Q = rationals()
 
@@ -284,95 +286,43 @@ def _yun_squarefree(f, ring):
     return out
 
 
-# integer-coefficient helpers for the Hensel phase
-
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zadd(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zsub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zdivmod_monic(a, b, m):
-    """Division by a monic polynomial with coefficients mod m."""
-    assert b and b[-1] == 1
-    a = [c % m for c in a]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] % m
-        shift = len(a) - len(b)
-        if c:
-            q[shift] = c
-            for i, y in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * y) % m
-        a.pop()
-        while a and a[-1] % m == 0:
-            a.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, a
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lifting step: from f = g*h, s*g + t*h = 1 (mod m) to the
-    same congruences mod m^2, with g and h kept monic."""
-    mm = m * m
-    e = _zsub([c % mm for c in f], _zmul(g, h, mm), mm)
-    q, r = _zdivmod_monic(_zmul(s, e, mm), h, mm)
-    g2 = _zadd(g, _zadd(_zmul(t, e, mm), _zmul(q, g, mm), mm), mm)
-    h2 = _zadd(h, r, mm)
-    b = _zsub(_zadd(_zmul(s, g2, mm), _zmul(t, h2, mm), mm), [1], mm)
-    c, d = _zdivmod_monic(_zmul(s, b, mm), h2, mm)
-    s2 = _zsub(s, d, mm)
-    t2 = _zsub(t, _zadd(_zmul(t, b, mm), _zmul(c, g2, mm), mm), mm)
+def _hensel_step(f, g, h, s, t, ring):
+    """One quadratic lifting step: from f = g*h, s*g + t*h = 1 (mod p^e) to
+    the same congruences in ring = Z/p^(2e), with g and h kept monic."""
+    err = psub(f, pmul(g, h, ring), ring)
+    q, r = pdivmod(pmul(s, err, ring), h, ring)
+    g2 = padd(g, padd(pmul(t, err, ring), pmul(q, g, ring), ring), ring)
+    h2 = padd(h, r, ring)
+    b = psub(padd(pmul(s, g2, ring), pmul(t, h2, ring), ring), [1], ring)
+    c, d = pdivmod(pmul(s, b, ring), h2, ring)
+    s2 = psub(s, d, ring)
+    t2 = psub(t, padd(pmul(t, b, ring), pmul(c, g2, ring), ring), ring)
     assert g2 and g2[-1] == 1 and h2 and h2[-1] == 1
     return g2, h2, s2, t2
 
 
-def _hensel_tree(f, parts, p, target):
+def _hensel_tree(f, parts, p, k):
     """Lift a coprime monic factorization of a monic f from mod p to mod
-    ``target`` (a power of p) by recursive pairing."""
+    p^k (k a power of two) by recursive pairing."""
+    ring = residue_ring(p, k)
     if len(parts) == 1:
-        return [[c % target for c in f]]
+        return [trim(f, ring)]
     fp = prime_field(p)
     mid = len(parts) // 2
     g = [1]
     for part in parts[:mid]:
-        g = _zmul(g, part, p)
+        g = pmul(g, part, fp)
     h = [1]
     for part in parts[mid:]:
-        h = _zmul(h, part, p)
+        h = pmul(h, part, fp)
     one, s, t = pxgcd(g, h, fp)
     assert one == [1]
-    m = p
-    while m < target:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m *= m
-    g = [c % target for c in g]
-    h = [c % target for c in h]
-    return _hensel_tree(g, parts[:mid], p, target) + _hensel_tree(h, parts[mid:], p, target)
+    e = 1
+    while e < k:
+        e *= 2
+        g, h, s, t = _hensel_step(f, g, h, s, t, residue_ring(p, e))
+    g, h = trim(g, ring), trim(h, ring)
+    return _hensel_tree(g, parts[:mid], p, k) + _hensel_tree(h, parts[mid:], p, k)
 
 
 def _sym(c, m):
@@ -426,10 +376,12 @@ def _zassenhaus(f, rng):
 
     norm = isqrt(sum(c * c for c in big)) + 1
     bound = 2**n * norm
-    target = p
-    while target < 2 * bound + 1:
-        target *= target
-    lifted = _hensel_tree([c % target for c in big], parts, p, target)
+    k = 1
+    while p**k < 2 * bound + 1:
+        k *= 2
+    target = p**k
+    ring = residue_ring(p, k)
+    lifted = _hensel_tree(trim(big, ring), parts, p, k)
 
     def from_big(coeffs):
         mapped = [c * lead**i for i, c in enumerate(coeffs)]
@@ -441,10 +393,10 @@ def _zassenhaus(f, rng):
     size = 1
     while 2 * size <= len(remaining):
         hit = None
-        for combo in _combinations(remaining, size):
+        for combo in combinations(remaining, size):
             cand = [1]
             for idx in combo:
-                cand = _zmul(cand, lifted[idx], target)
+                cand = pmul(cand, lifted[idx], ring)
             cand = [_sym(c, target) for c in cand]
             quotient = _zdivides(current, cand)
             if quotient is not None:
@@ -460,12 +412,6 @@ def _zassenhaus(f, rng):
     if degree(current) > 0:
         found.append(from_big(current))
     return found
-
-
-def _combinations(pool, size):
-    import itertools
-
-    return itertools.combinations(pool, size)
 
 
 def _factor_rationals(cs, rng):

@@ -17,13 +17,14 @@ from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .grading import orthogonal_basis
-from .lift import (EdgeRestriction, LiftCertificate, LiftError, LiftStep, NotLoose,
-                   PrimePower, Unsolvable, _line_form, _run_lift,
-                   _split_from_restriction, _top_in_last, _uniform_weight,
-                   _validate_split, edge_restriction, solve_cofactor)
-from .poly import SparsePoly, deglex_key
-from .unifactor import degree, padd, pmul, psub, trim
+from .lift import (LiftError, NotLoose, PrimePower, _run_lift, _split_from_restriction,
+                   _top_in_last, _validate_split, edge_restriction)
+from .poly import SparsePoly, exp_add
+# Unused here, but perfbench/tracing.py patches these names in this module;
+# without them its --trace 1 does not install.
+from .grading import orthogonal_basis  # noqa: F401
+from .lift import solve_cofactor  # noqa: F401
+from .unifactor import pmul  # noqa: F401
 
 
 class NotDescendant(LiftError):
@@ -37,10 +38,6 @@ class NotMonic(LiftError):
 
 class NotPrepared(LiftError):
     """The series does not satisfy the preparation hypothesis at x = 0."""
-
-
-class PrecisionTooLow(LiftError):
-    """The p-adic residual failed to clear within the working precision."""
 
 
 @dataclass(frozen=True)
@@ -243,17 +240,33 @@ class PadicPoly:
         return residue_ring(self.p, self.k)
 
     def valuations(self):
-        """Support points (v_p(a_j), j) of the plane model, capped at k."""
-        out = []
-        for j, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            out.append((v, j))
-        return out
+        """Support points (v_p(a_j), j) of the plane model."""
+        return list(_plane(_as_poly(self)).terms)
+
+
+def _as_poly(pp):
+    return SparsePoly(1, pp.ring, {(j,): c for j, c in enumerate(pp.coefficients)})
+
+
+def _plane(P):
+    """The plane model of P in Z/p^k[y]: over F_p, the leading p-adic digit
+    of each term c*y^j sits at the point (v_p(c), j)."""
+    p = P.ring.p
+    terms = {}
+    for (j,), c in P.terms.items():
+        v = 0
+        while c % p == 0:
+            c //= p
+            v += 1
+        terms[(v, j)] = c % p
+    return SparsePoly(2, prime_field(p), terms)
+
+
+def _embed_plane(P, ring):
+    """Map a plane F_p-polynomial into ring = Z/p^k[y] by canonical residues:
+    lambda * x^v * y^j becomes int(lambda) * p^v * y^j."""
+    return SparsePoly(1, ring, (((j,), int(lam) * ring.p**v)
+                                for (v, j), lam in P.terms.items()))
 
 
 @dataclass(frozen=True)
@@ -278,29 +291,6 @@ class NoLooseEdgeInfo:
     polygon: newton.NewtonPolyhedron
 
 
-def _vp(c, p, cap):
-    if c == 0:
-        return cap
-    v = 0
-    while c % p == 0 and v < cap:
-        c //= p
-        v += 1
-    return v
-
-
-def _embed_plane(P, p, k):
-    """Map a plane F_p-polynomial into Z/p^k[y] via canonical residues:
-    lambda * x^v * y^j  becomes  int(lambda) * p^v * y^j."""
-    mod = p**k
-    out = {}
-    for (v, j), lam in P.terms.items():
-        if v >= k:
-            continue
-        out[j] = (out.get(j, 0) + int(lam) * p**v) % mod
-    top = max(out) if out else 0
-    return [out.get(j, 0) for j in range(top + 1)]
-
-
 def padic_newton_factor(pp, seed=0):
     """Factor over Z/p^k through the Newton polygon.
 
@@ -311,105 +301,55 @@ def padic_newton_factor(pp, seed=0):
     product is verified mod p^k.  Verdicts: PadicFactors, NoCoprimeSplit, or
     NoLooseEdgeInfo.
     """
-    p, k = pp.p, pp.k
-    fp = prime_field(p)
-    coeffs = list(pp.coefficients)
-    if coeffs[-1] % p == 0:
+    if pp.coefficients[-1] % pp.p == 0:
         raise ValueError("the leading coefficient must be a unit mod p")
-    support = pp.valuations()
-    polygon = newton.build_from_support(support, 2)
+    f = _as_poly(pp)
+    plane = _plane(f)
+    polygon = newton.build_from_support(list(plane.terms), 2)
     edges = [e for e in polygon.edges if e.descendant]
     if not edges:
         return NoLooseEdgeInfo(polygon)
 
     failure = None
     for edge in edges:
-        rest_terms = {}
-        edge_points = set(edge.lattice_points())
-        for v, j in support:
-            if (v, j) in edge_points:
-                unit = (coeffs[j] // p**v) % p
-                if unit:
-                    rest_terms[(v, j)] = unit
-        restriction = SparsePoly(2, fp, rest_terms)
-        ws = orthogonal_basis(edge.direction)
-        content, uni = _line_form(restriction, edge.direction)
-        rest = EdgeRestriction(restriction, edge, ws, content, tuple(uni))
+        rest = edge_restriction(plane, edge)
         chosen = _split_from_restriction(rest, prefer_factored=True,
                                          monic_last=True, seed=seed)
         if isinstance(chosen, PrimePower):
             if failure is None:
                 failure = NoCoprimeSplit(edge, chosen.factor, chosen.power, polygon)
             continue
-        g, h, cert = _padic_lift(coeffs, pp, rest, chosen)
-        return PadicFactors((tuple(g), tuple(h)), edge, restriction, polygon, cert)
+        g, h, cert = _padic_lift(pp, rest, chosen)
+        return PadicFactors((g, h), edge, rest.poly, polygon, cert)
     return failure
 
 
-def _padic_lift(coeffs, pp, rest, split):
-    """Run the lifting loop on the plane model, carrying Z/p^k coefficients."""
-    p, k = pp.p, pp.k
-    ring = pp.ring
+def _padic_lift(pp, rest, split):
+    """Lift a plane split to factors of pp in Z/p^k[y]; returns their
+    coefficient tuples and the certificate.
+
+    The shared loop runs untruncated on f in y, reading residuals in the
+    plane model and embedding corrections by canonical residues.  Each step
+    caps the solution blocks at the y-degrees of the true factors (deg G
+    and deg f - deg G), since free choices above those degrees would stop
+    the p-adic sums from converging, and widens the caps when a capped
+    system is inconsistent.
+    """
+    f = _as_poly(pp)
     ws = rest.ws
-    G, H = split.G, split.H
-    w = _uniform_weight(G, ws)
-    z = _uniform_weight(H, ws)
-    g = _embed_plane(G, p, k)
-    h = _embed_plane(H, p, k)
-    degy = degree(trim(list(coeffs), ring))
-    d_monic = max(j for _, j in G.terms)
-    cert = LiftCertificate(w, z, (k - 1) * ws.xi0[0] + degy * ws.xi0[1])
-    previous = None
-    fp = prime_field(p)
-    while True:
-        residual = psub(coeffs, pmul(g, h, ring), ring)
-        if cert.steps:
-            cert.steps[-1].residual_after = _residual_weight(residual, p, k, ws)
-        if not residual:
-            break
-        points = {}
-        for j, c in enumerate(residual):
-            if c:
-                v = _vp(c, p, k)
-                if v < k:
-                    points[(v, j)] = (c // p**v) % p
-        if not points:
-            break  # everything left is divisible by p^k
-        wmin = min((ws.weight(pt) for pt in points), key=deglex_key)
-        if previous is not None and deglex_key(wmin) <= previous:
-            raise PrecisionTooLow(f"residual weight stalled at {wmin}")
-        previous = deglex_key(wmin)
-        initial = SparsePoly(2, fp, {pt: lam for pt, lam in points.items()
-                                     if ws.weight(pt) == wmin})
-        # Cap the solution blocks at the y-degrees of the true factors
-        # (deg G and deg f - deg G); free choices above those degrees would
-        # stop the p-adic sums from converging.  Escalate when a capped
-        # system happens to be inconsistent.
-        h_part = g_part = None
-        for extra in (0, 2, 4, None):
-            caps = (None if extra is None
-                    else (max(degy - d_monic + extra, 0), d_monic + extra))
-            try:
-                h_part, g_part = solve_cofactor(G, H, initial, ws,
-                                                max_last_exp=caps)
-                break
-            except Unsolvable:
-                if extra is None:
-                    raise
-        g = padd(g, _embed_plane(g_part, p, k), ring)
-        h = padd(h, _embed_plane(h_part, p, k), ring)
-        cert.steps.append(LiftStep(tuple(wmin), (len(h_part), len(g_part)), sum(wmin)))
-    assert pmul(g, h, ring) == trim(list(coeffs), ring), "p-adic product check failed"
-    cert.exit_min_weight = None
-    return g, h, cert
+    deg_y = max(j for (j,) in f.terms)
+    d_monic = max(j for _, j in split.G.terms)
+    ladder = tuple((max(deg_y - d_monic + extra, 0), d_monic + extra)
+                   for extra in (0, 2, 4)) + ((None, None),)
+    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane, _embed_plane, ladder)
+    assert g * h == f, "p-adic product check failed"
+    cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
+    for step in cert.steps:
+        step.weight = exp_add(step.weight, exp_add(cert.w, cert.z))
+        step.slice_dims = step.solved
+    return _dense(g), _dense(h), cert
 
 
-def _residual_weight(residual, p, k, ws):
-    best = None
-    for j, c in enumerate(residual):
-        if c:
-            v = _vp(c, p, k)
-            if v < k:
-                weight = sum(ws.weight((v, j)))
-                best = weight if best is None else min(best, weight)
-    return best
+def _dense(P):
+    """Coefficient tuple of a univariate polynomial, ascending."""
+    return tuple(P.coeff((j,)) for j in range(max(e[0] for e in P.terms) + 1))

@@ -266,7 +266,8 @@ def test_padic_random_products():
     # products of a monic polynomial with unit constant term and a factor
     # with all-divisible lower coefficients lift back to a true factorization
     rng = random.Random(31337)
-    for _ in range(25):
+    factored = 0
+    for _ in range(200):
         p = rng.choice((2, 3, 5))
         k = rng.randint(4, 10)
         mod = p**k
@@ -283,8 +284,21 @@ def test_padic_random_products():
         pp = PadicPoly(tuple(f), p, k)
         verdict = padic_newton_factor(pp)
         if isinstance(verdict, PadicFactors):
+            factored += 1
             a, b = verdict.factors
             assert pmul(list(a), list(b), ring) == trim(f, ring)
+            # what the shared lifting loop must keep for padic certificates
+            cert = verdict.certificate
+            steps = cert.steps
+            assert steps
+            for before, after in zip(steps, steps[1:]):
+                assert before.residual_after == after.residual_before
+                assert before.weight < after.weight
+            assert steps[-1].residual_after is None
+            assert cert.exit_min_weight is None
+            xi0 = orthogonal_basis(verdict.edge.direction).xi0
+            assert cert.bound == (k - 1) * xi0[0] + (len(trim(f, ring)) - 1) * xi0[1]
+    assert factored >= 10
 
 
 def test_padic_monic_weierstrass_sanity():
@@ -322,7 +336,7 @@ def test_padic_lift_with_linear_monic_part():
     rest = EdgeRestriction(restriction, edge, ws, content, tuple(uni))
     G = SparsePoly(2, fp, {(0, 1): 1})                # Y
     H = SparsePoly(2, fp, {(0, 2): 1, (1, 0): 1})     # Y^2 + P
-    g, h, _ = _padic_lift(list(pp.coefficients), pp, rest, SplitRequest(G, H))
+    g, h, _ = _padic_lift(pp, rest, SplitRequest(G, H))
     ring = residue_ring(p, k)
     assert pmul(list(g), list(h), ring) == [c % p**k for c in F4]
     assert len(g) == 2 and g[-1] == 1  # monic linear factor
