@@ -122,7 +122,8 @@ class RingDescriptor:
     def normalize(self, a):
         """Canonical form: reduced Fraction over Q, residue in [0, p^k) otherwise."""
         if self.kind == RATIONALS:
-            return Fraction(a)
+            # A Fraction is immutable and already reduced.
+            return a if isinstance(a, Fraction) else Fraction(a)
         return a % self.modulus
 
     def is_zero(self, a):

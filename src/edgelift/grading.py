@@ -13,8 +13,6 @@ parallel to c clipped to the nonnegative orthant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor
-from fractions import Fraction
 
 from .linalg import solve_integer
 from .lp import EQ, LE, feasible_point
@@ -153,12 +151,13 @@ def _orthant_range(base, direction):
             if b < 0:
                 return None, 0
             continue
-        bound = Fraction(-b, d)
+        # b + t*d >= 0: t >= ceil(-b/d) = -(b // d) for d > 0, and
+        # t <= floor(-b/d) = b // -d for d < 0.
         if d > 0:
-            t = ceil(bound)
+            t = -(b // d)
             lo = t if lo is None else max(lo, t)
         else:
-            t = floor(bound)
+            t = b // -d
             hi = t if hi is None else min(hi, t)
     # Mixed signs in the direction bound the interval on both sides.
     assert lo is not None and hi is not None

@@ -17,10 +17,13 @@ from functools import reduce
 from . import newton
 from .coeffs import RESIDUE_RING
 from .grading import WeightSystem, orthogonal_basis
-from .linalg import solve_field
+from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, deglex_key, exp_add, exp_min, exp_neg, exp_sub,
                    primitive_vector)
 from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
+# Unused here, but perfbench/tracing.py patches this name in this module;
+# without it its --trace 1 does not install.
+from .linalg import solve_field  # noqa: F401
 
 
 class LiftError(ValueError):
@@ -296,10 +299,10 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     """Solve G*h' + H*g' = r inside the graded pieces.
 
     Unknowns are the coefficients of h' and g' on the lattice bases of their
-    slices; equations are indexed by the points of r's slice that some
-    column or a term of r reaches.  Columns are
-    ordered h'-block then g'-block, each in degree-lex order, and the first
-    valid pivot in that order is taken, so the solution with all free
+    slices; equations are indexed by the points the columns reach, and a
+    term of r that no column reaches makes the system inconsistent.  Columns
+    are ordered h'-block then g'-block, each in degree-lex order, and the
+    first valid pivot in that order is taken, so the solution with all free
     coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
     last-variable exponent of the slice bases as a (h_cap, g_cap) pair.
     Raises Unsolvable when the system is inconsistent, which signals a
@@ -315,41 +318,59 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     _uniform_weight(H, ws)
     wr = _uniform_weight(r, ws)
     slices = _cofactor_slices(G, H, r, ws, wr, max_last_exp or (None, None))
-    return _solve_in_slices(G, H, r, wr, *slices)
+    return _solve_in_slices(G, H, r, wr, *slices, {})
 
 
-def _solve_in_slices(G, H, r, wr, h_pts, g_pts):
+def _solve_in_slices(G, H, r, wr, h_pts, g_pts, systems):
     """The cofactor solve of solve_cofactor on already enumerated columns.
 
-    The rows are the points the columns reach plus r's own terms: every
-    other point of r's slice gives an all-zero row, and with free variables
-    set to zero the solution depends only on the column order."""
+    The rows are the points the columns reach: every other point of r's
+    slice gives an all-zero row, and with free variables set to zero the
+    solution depends only on the column order.  The matrix depends only on
+    G, H and the column points up to a common translation, so ``systems``
+    maps the translated columns to their row-index map and elimination, and
+    a lift that keeps it across its steps eliminates each shape once."""
     ring = r.ring
     nvars = r.nvars
-    ncols = len(h_pts) + len(g_pts)
-    columns = [(G, point) for point in h_pts] + [(H, point) for point in g_pts]
-    rows = {}
-    entries = [(rows.setdefault(exp_add(e, point), len(rows)), col, c)
-               for col, (factor, point) in enumerate(columns)
-               for e, c in factor.terms.items()]
-    for point in r.terms:
-        rows.setdefault(point, len(rows))
-    matrix = [[ring.zero()] * ncols for _ in rows]
-    for i, col, c in entries:
-        matrix[i][col] = c
-    rhs = [r.terms.get(point, ring.zero()) for point in rows]
-
-    solution = solve_field(ring, matrix, rhs) if ncols else None
+    solution = None
+    if h_pts or g_pts:
+        origin = (h_pts or g_pts)[0]
+        shape = (tuple(exp_sub(p, origin) for p in h_pts),
+                 tuple(exp_sub(p, origin) for p in g_pts))
+        system = systems.get(shape)
+        if system is None:
+            system = systems[shape] = _cofactor_system(G, H, *shape)
+        rows, elimination = system
+        rhs = []
+        for point, c in r.terms.items():
+            i = rows.get(exp_sub(point, origin))
+            if i is None:
+                break
+            rhs.append((i, c))
+        else:
+            solution = _apply_elimination(ring, elimination, rhs)
     if solution is None:
-        if all(ring.is_zero(v) for v in rhs):
-            zero = SparsePoly.zero(nvars, ring)
-            return zero, zero
         raise Unsolvable(f"no cofactor solution at weight {wr}")
     h_part = SparsePoly(nvars, ring,
                         {p: c for p, c in zip(h_pts, solution[:len(h_pts)])})
     g_part = SparsePoly(nvars, ring,
                         {p: c for p, c in zip(g_pts, solution[len(h_pts):])})
     return h_part, g_part
+
+
+def _cofactor_system(G, H, h_pts, g_pts):
+    """Row-index map and elimination of the cofactor matrix on these columns:
+    column (F, point) holds F's coefficients at the rows e + point."""
+    ring = G.ring
+    columns = [(G, point) for point in h_pts] + [(H, point) for point in g_pts]
+    rows = {}
+    entries = [(rows.setdefault(exp_add(e, point), len(rows)), col, c)
+               for col, (factor, point) in enumerate(columns)
+               for e, c in factor.terms.items()]
+    matrix = [[ring.zero()] * len(columns) for _ in rows]
+    for i, col, c in entries:
+        matrix[i][col] = c
+    return rows, _eliminate_field(ring, matrix)
 
 
 # -- the lifting loop -------------------------------------------------------------
@@ -377,6 +398,8 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
     ``padic``), and ``embed(P, f.ring)`` carries a residue-field solution
     back into f's ring.  Each step tries the (h_cap, g_cap) pairs of
     ``caps_ladder`` in turn until a capped cofactor system is consistent.
+    G and H are fixed, so a system eliminated once serves every later step
+    with the same columns up to translation; nothing is kept past the call.
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
@@ -384,14 +407,17 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
     g, h = embed(G, ring), embed(H, ring)
     cert = LiftCertificate(w, z, None if bound is None else bound.bound)
     previous = None
+    systems = {}
     residual = (f - g.mul(h, bound)).truncate(bound)
     while True:
         visible = view(residual)
+        weights = {e: ws.weight(e) for e in visible.terms}
+        # deglex_key orders by the sum first, and the weights sum to <xi0, e>.
+        wmin = min(weights.values(), key=deglex_key, default=None)
         if cert.steps:
-            cert.steps[-1].residual_after = visible.min_weighted_degree(ws.xi0)
-        if not visible:
+            cert.steps[-1].residual_after = None if wmin is None else sum(wmin)
+        if wmin is None:
             break
-        wmin = min((ws.weight(e) for e in visible.terms), key=deglex_key)
         key = deglex_key(wmin)
         if previous is not None and key <= previous:
             raise Unsolvable(f"residual weight did not increase at {wmin}")
@@ -399,12 +425,12 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
         step = exp_sub(wmin, exp_add(w, z))
         if any(x < 0 for x in step):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
-        initial = visible.restrict_to(
-            [e for e in visible.terms if ws.weight(e) == wmin])
+        initial = visible.restrict_to([e for e, we in weights.items() if we == wmin])
         for caps in caps_ladder:
             h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin, caps)
             try:
-                h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts)
+                h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts,
+                                                  systems)
                 break
             except Unsolvable as exc:
                 error = exc

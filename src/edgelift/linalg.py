@@ -29,18 +29,28 @@ def solve_field(ring, rows, rhs):
     entry).  Free variables are set to zero.  Returns the solution list or
     None when the system is inconsistent.
     """
+    return _apply_elimination(ring, _eliminate_field(ring, rows), enumerate(rhs))
+
+
+def _eliminate_field(ring, rows):
+    """Row-reduce ``rows`` once, with solve_field's pivot order.
+
+    Returns (nrows, ncols, pivots, ops): ``pivots`` lists the pivot column of
+    each reduced row and ``ops`` holds, per pivot, the row swapped into place,
+    the pivot's inverse and the (row, factor) eliminations, which
+    _apply_elimination replays on a right-hand side.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    b = list(rhs)
     pivots = []
+    ops = []
     r = 0
     for col in range(n):
         pivot_row = next((i for i in range(r, m) if not ring.is_zero(a[i][col])), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
         # Rows r.. are zero left of col, so the pivot row's nonzero entries,
         # all from col on, are the only columns an elimination changes.
         pivot = a[r]
@@ -48,17 +58,35 @@ def solve_field(ring, rows, rhs):
         support = [j for j in range(col, n) if not ring.is_zero(pivot[j])]
         for j in support:
             pivot[j] = ring.mul(pivot[j], inv)
-        b[r] = ring.mul(b[r], inv)
+        eliminations = []
         for i in range(m):
             row = a[i]
             if i != r and not ring.is_zero(row[col]):
                 f = row[col]
                 for j in support:
                     row[j] = ring.sub(row[j], ring.mul(f, pivot[j]))
-                b[i] = ring.sub(b[i], ring.mul(f, b[r]))
+                eliminations.append((i, f))
         pivots.append(col)
+        ops.append((pivot_row, inv, eliminations))
         r += 1
-    for i in range(r, m):
+    return m, n, pivots, ops
+
+
+def _apply_elimination(ring, elimination, rhs):
+    """Solve an eliminated system for the right-hand side given as
+    (row, value) pairs, every other entry zero; None when inconsistent."""
+    m, n, pivots, ops = elimination
+    b = [ring.zero()] * m
+    for i, v in rhs:
+        b[i] = v
+    for r, (pivot_row, inv, eliminations) in enumerate(ops):
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        if ring.is_zero(b[r]):
+            continue
+        v = b[r] = ring.mul(b[r], inv)
+        for i, f in eliminations:
+            b[i] = ring.sub(b[i], ring.mul(f, v))
+    for i in range(len(pivots), m):
         if not ring.is_zero(b[i]):
             return None
     x = [ring.zero()] * n

@@ -180,21 +180,23 @@ class SparsePoly:
     def mul(self, other, trunc=None):
         """Exact product; with ``trunc`` terms above the weighted bound are dropped."""
         self._check_compatible(other)
-        left = self.terms
-        right = other.terms
-        if trunc is not None:
-            # Weights are additive on exponents and nonnegative on the orthant,
-            # so factors already above the bound cannot contribute.
-            lmin = min((trunc.weight_of(e) for e in left), default=0)
-            rmin = min((trunc.weight_of(e) for e in right), default=0)
-            left = {e: c for e, c in left.items() if trunc.weight_of(e) <= trunc.bound - rmin}
-            right = {e: c for e, c in right.items() if trunc.weight_of(e) <= trunc.bound - lmin}
         out = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
+        if trunc is None:
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = exp_add(e1, e2)
+                    out[e] = out.get(e, 0) + c1 * c2
+            return SparsePoly(self.nvars, self.ring, out)
+        # Weights are additive on exponents, so with the right factor sorted
+        # by weight each inner loop stops at the first pair above the bound.
+        weight = trunc.weight_of
+        right = sorted((weight(e), e, c) for e, c in other.terms.items())
+        for e1, c1 in self.terms.items():
+            room = trunc.bound - weight(e1)
+            for w2, e2, c2 in right:
+                if w2 > room:
+                    break
                 e = exp_add(e1, e2)
-                if trunc is not None and not trunc.admits(e):
-                    continue
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly(self.nvars, self.ring, out)
 

@@ -252,12 +252,17 @@ def _plane(P):
     """The plane model of P in Z/p^k[y]: over F_p, the leading p-adic digit
     of each term c*y^j sits at the point (v_p(c), j)."""
     p = P.ring.p
+    # p^(2^i) for 2^i < k: a nonzero residue has v_p < k, so dividing out
+    # these blocks largest first finds v_p one binary digit at a time.
+    blocks = [(1 << i, p ** (1 << i)) for i in reversed(range((P.ring.k - 1).bit_length()))]
     terms = {}
     for (j,), c in P.terms.items():
         v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
+        for size, block in blocks:
+            q, rem = divmod(c, block)
+            if not rem:
+                c = q
+                v += size
         terms[(v, j)] = c % p
     return SparsePoly(2, prime_field(p), terms)
 

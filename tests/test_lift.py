@@ -506,3 +506,34 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
     assert steps
     assert calls == {"solve_integer": 0, "slice": 2 * len(steps)}
     assert all(capped)
+
+
+def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
+    """Steps whose columns repeat an eliminated system up to translation
+    reuse its elimination; nothing is kept from one lift to the next."""
+    import edgelift.lift as lift
+    from edgelift.weier import PadicPoly, padic_newton_factor
+
+    eliminations = []
+    eliminate = lift._eliminate_field
+
+    def counting_eliminate(ring, rows):
+        eliminations.append(len(rows))
+        return eliminate(ring, rows)
+
+    monkeypatch.setattr(lift, "_eliminate_field", counting_eliminate)
+
+    f = parse(EXAMPLE1, XYZ, Q)
+    e = build(f).edges[0]
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+    bound = WeightedBound(orthogonal_basis(e.direction).xi0, 40)
+    for _ in range(2):
+        eliminations.clear()
+        g, h, cert = lift_factorization(f, e, split, bound)
+        assert not (f - g * h).truncate(bound)
+        assert (len(eliminations), len(cert.steps)) == (2, 4)
+
+    for _ in range(2):
+        eliminations.clear()
+        steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
+        assert (len(eliminations), len(steps)) == (2, 44)

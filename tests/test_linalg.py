@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from edgelift.coeffs import prime_field, rationals
-from edgelift.linalg import solve_field, solve_integer, xgcd
+from edgelift.linalg import (_apply_elimination, _eliminate_field, solve_field,
+                             solve_integer, xgcd)
 
 
 def test_xgcd():
@@ -129,6 +130,30 @@ def test_solve_field_ignores_zero_rows_and_row_order():
             rng.shuffle(system)
             new_rows, new_rhs = zip(*system)
             assert solve_field(ring, list(new_rows), list(new_rhs)) == expected
+
+
+def test_elimination_applies_to_many_right_hand_sides():
+    """One elimination answers every right-hand side of its matrix, sparse
+    or dense, consistent or not, as a fresh solve_field would."""
+    rng = random.Random(4242)
+    for ring in (rationals(), prime_field(7)):
+        outcomes = set()
+        for _ in range(150):
+            rows, _ = random_system(rng, ring)
+            elimination = _eliminate_field(ring, rows)
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    x_true = [ring.from_int(rng.randint(-5, 5)) for _ in rows[0]]
+                    rhs = [sum_row(ring, row, x_true) for row in rows]
+                else:
+                    rhs = [ring.from_int(rng.randint(-5, 5) if rng.random() < 0.5 else 0)
+                           for _ in rows]
+                sparse = [(i, v) for i, v in enumerate(rhs) if not ring.is_zero(v)]
+                sol = _apply_elimination(ring, elimination, sparse)
+                assert sol == solve_field(ring, rows, rhs) == dense_solve_field(ring, rows, rhs)
+                outcomes.add(sol is None)
+        assert outcomes == {True, False}
+
 
 def sum_row(ring, row, x):
     acc = ring.zero()

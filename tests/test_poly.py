@@ -128,11 +128,18 @@ def test_truncated_product_consistency():
 
 def test_truncated_multiply_matches_full():
     rng = random.Random(77)
-    for _ in range(60):
-        f = random_poly(2, Q, rng)
-        g = random_poly(2, Q, rng)
-        bound = WeightedBound((2, 3), rng.randint(0, 15))
-        assert multiply(f, g, bound) == weighted_truncate(f * g, bound)
+    for ring in (Q, residue_ring(5, 3)):
+        for _ in range(60):
+            f = random_poly(2, ring, rng)
+            g = random_poly(2, ring, rng)
+            bound = WeightedBound((2, 3), rng.randint(0, 15))
+            # The truncated product sorts the right factor by weight itself;
+            # hand it one stored heaviest first.
+            g = SparsePoly(2, ring, sorted(g.terms.items(),
+                                           key=lambda t: -bound.weight_of(t[0])))
+            product = multiply(f, g, bound)
+            assert product == weighted_truncate(f * g, bound)
+            assert_canonical(product)
 
 
 def test_sorted_terms_degree_lex():

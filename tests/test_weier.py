@@ -262,6 +262,30 @@ def test_padic_requires_unit_leading_coefficient():
         padic_newton_factor(PadicPoly((1, 0, 2), 2, 6))
 
 
+def test_plane_valuations_match_naive_loop():
+    """The plane model's blockwise v_p agrees with stripping one factor of p
+    at a time, from units up to c = p^(k-1)."""
+    from edgelift.weier import _plane
+
+    rng = random.Random(1024)
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3, 7, 8, 9, 64, 100, 1023, 1024):
+            ring = residue_ring(p, k)
+            coeffs = [1, p - 1, p ** (k - 1), rng.randrange(1, p) * p ** (k - 1)]
+            coeffs += [rng.randrange(1, p ** (k - v)) * p ** v
+                       for v in (rng.randrange(k) for _ in range(12))]
+            coeffs = [c % ring.modulus for c in coeffs if c % ring.modulus]
+            P = SparsePoly(1, ring, {(j,): c for j, c in enumerate(coeffs)})
+            expected = {}
+            for (j,), c in P.terms.items():
+                v = 0
+                while c % p == 0:
+                    c //= p
+                    v += 1
+                expected[(v, j)] = c % p
+            assert _plane(P) == SparsePoly(2, prime_field(p), expected)
+
+
 def test_padic_random_products():
     # products of a monic polynomial with unit constant term and a factor
     # with all-divisible lower coefficients lift back to a true factorization
