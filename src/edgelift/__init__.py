@@ -9,7 +9,7 @@ from .lift import (EdgePrimePower, EdgeRestriction, InvalidSplit, LiftCertificat
                    edge_restriction, lift_factorization, reducibility_witness,
                    restrict, solve_cofactor)
 from .newton import Edge, NewtonPolyhedron, build, face_of, is_loose, is_polygonal, minkowski
-from .poly import SparsePoly, WeightedBound, multiply, weighted_truncate
+from .poly import SparsePoly, WeightedBound
 from .weier import (NoCoprimeSplit, NoLooseEdgeInfo, PadicFactors, PadicPoly,
                     WeierstrassInput, descendant_loose_edges, lift_monic,
                     padic_newton_factor, poly_divide, weierstrass_normalize)
@@ -47,7 +47,6 @@ __all__ = [
     "lift_factorization",
     "lift_monic",
     "minkowski",
-    "multiply",
     "orthogonal_basis",
     "padic_newton_factor",
     "parse",
@@ -60,5 +59,4 @@ __all__ = [
     "restrict",
     "solve_cofactor",
     "weierstrass_normalize",
-    "weighted_truncate",
 ]

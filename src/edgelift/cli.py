@@ -150,12 +150,11 @@ def cmd_restrict(args):
     np = newton.build(f)
     edge = _pick_edge(np, args.edge)
     rest = lift.edge_restriction(f, edge)
-    K = rest.poly.ring
     report = {
         "edge": edge.to_dict(),
         "restriction": expr.render(rest.poly, vars_),
         "content": list(rest.content),
-        "univariate": [K.scalar_str(c) for c in rest.univariate],
+        "univariate": [str(c) for c in rest.univariate],
     }
     _emit(report, args)
     return EXIT_OK
@@ -242,13 +241,12 @@ def _witness(f, vars_, args):
         _emit(_reducible_report(result.edge, result.g, result.h, result.certificate, vars_),
               args)
         return EXIT_OK
-    K = result.factor.ring
     _emit({
         "verdict": "edge_prime_power",
         "edge": result.edge.to_dict(),
         "factor": expr.render(result.factor, vars_),
         "power": result.power,
-        "unit": K.scalar_str(result.unit),
+        "unit": str(result.unit),
     }, args)
     return EXIT_INCONCLUSIVE
 
@@ -269,9 +267,7 @@ def cmd_weierstrass(args):
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, args.bound)
     if split is None:
-        chosen = lift._split_from_restriction(lift.edge_restriction(f, edge),
-                                              prefer_factored=True,
-                                              monic_last=True, seed=args.seed)
+        _, _, chosen = lift._first_split(f, [edge], monic_last=True, seed=args.seed)
         if isinstance(chosen, lift.PrimePower):
             _emit({
                 "verdict": "no_coprime_split",

@@ -186,10 +186,6 @@ class RingDescriptor:
             return a % self.p
         return a
 
-    def scalar_str(self, a):
-        """Exact string form of a scalar ("3", "-3/2", residues as integers)."""
-        return str(a)
-
 
 def rationals():
     return RingDescriptor(RATIONALS)

@@ -230,11 +230,11 @@ def render(f, vars_):
         negative = ring.kind == RATIONALS and coeff < 0
         mag = -coeff if negative else coeff
         if not mono:
-            body = ring.scalar_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{ring.scalar_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

@@ -86,12 +86,11 @@ class EdgeRestriction:
 @dataclass(frozen=True)
 class PrimePower:
     """Certificate that a restriction is unit * F^power with F irreducible
-    whenever the content is trivial; ``binomial`` flags the two-term shape."""
+    whenever the content is trivial."""
 
     factor: SparsePoly
     power: int
     unit: object
-    binomial: bool
 
 
 @dataclass
@@ -153,18 +152,22 @@ def restrict(f, face):
 
 
 def edge_restriction(f, edge):
-    """Build the EdgeRestriction of f along a compact edge."""
-    poly = restrict(f, edge.lattice_points())
+    """Build the EdgeRestriction of f along a compact edge.
+
+    The terms of f on the segment are picked by their step count from
+    edge.a, without enumerating the segment's lattice points."""
+    length = _ratio(exp_sub(edge.b, edge.a), edge.direction)
+    on_edge = []
+    for point in f.terms:
+        t = _ratio(exp_sub(point, edge.a), edge.direction)
+        if t is not None and 0 <= t <= length:
+            on_edge.append(point)
+    poly = restrict(f, on_edge)
     if not poly:
         raise EmptyFace("edge restriction vanishes in the residue field")
     ws = orthogonal_basis(edge.direction)
     content, uni = _line_form(poly, edge.direction)
     return EdgeRestriction(poly, edge, ws, content, tuple(uni))
-
-
-def edge_univariate(restriction):
-    """The (content monomial, univariate coefficient list) of a restriction."""
-    return restriction.content, list(restriction.univariate)
 
 
 def _line_form(poly, direction):
@@ -178,9 +181,10 @@ def _line_form(poly, direction):
         if t is None:
             raise NotEdgeHomogeneous(f"{point} is off the line through {base}")
         steps[t] = poly.terms[point]
-    top = max(steps)
     ring = poly.ring
-    uni = [steps.get(i, ring.zero()) for i in range(top + 1)]
+    uni = [ring.zero()] * (max(steps) + 1)
+    for t, c in steps.items():
+        uni[t] = c
     return base, trim(uni, ring)
 
 
@@ -260,16 +264,6 @@ def _content(P):
     return reduce(exp_min, P.support())
 
 
-# -- univariate factorization of a restriction ----------------------------------
-
-def factor_edge_univariate(coeffs, ring, seed=0):
-    """Irreducible factorization of an edge univariate over Q or F_p.
-
-    Returns (unit, [(coefficient_list, multiplicity), ...]), deterministic.
-    """
-    return factor_univariate(ring, coeffs, seed)
-
-
 # -- cofactor solver --------------------------------------------------------------
 
 def _uniform_weight(P, ws):
@@ -301,9 +295,9 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     Unknowns are the coefficients of h' and g' on the lattice bases of their
     slices; equations are indexed by the points the columns reach, and a
     term of r that no column reaches makes the system inconsistent.  Columns
-    are ordered h'-block then g'-block, each in degree-lex order, and the
-    first valid pivot in that order is taken, so the solution with all free
-    coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
+    are ordered h'-block then g'-block, each in slice order (steps along the
+    edge direction), and the first valid pivot in that order is taken, so
+    the solution with all free coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
     last-variable exponent of the slice bases as a (h_cap, g_cap) pair.
     Raises Unsolvable when the system is inconsistent, which signals a
     violated hypothesis (or too tight a cap).
@@ -482,22 +476,42 @@ def lift_factorization(f, edge, split, bound):
 
 # -- irreducibility-witness logic -------------------------------------------------
 
-def _split_from_restriction(rest, prefer_factored=False, monic_last=False, seed=0):
+def _first_split(f, edges, monic_last=False, seed=0):
+    """The first of ``edges`` whose restriction of f has a coprime split.
+
+    Returns (edge, restriction, SplitRequest) for the first such edge, or
+    (edge, restriction, PrimePower) for the first edge when none has one.
+    ``edges`` must be nonempty; ``monic_last`` and ``seed`` are passed to
+    _split_from_restriction.
+    """
+    first = None
+    for edge in edges:
+        rest = edge_restriction(f, edge)
+        split = _split_from_restriction(rest, monic_last, seed)
+        if isinstance(split, SplitRequest):
+            return edge, rest, split
+        if first is None:
+            first = edge, rest, split
+    return first
+
+
+def _split_from_restriction(rest, monic_last=False, seed=0):
     """Choose a coprime split of an edge restriction, or report prime-power
     structure.
 
     Returns either a SplitRequest or a PrimePower.  The canonical split pulls
     the monomial content into H; the factored split puts the first irreducible
-    class into G and everything else into H.  With ``monic_last`` the G part
-    is normalized to be monic in the last variable (its top term must be free
-    of the other variables, which holds on descendant edges).
+    class into G and everything else into H.  With ``monic_last`` the
+    factored split is preferred whenever there are two classes, and the G
+    part is normalized to be monic in the last variable (its top term must
+    be free of the other variables, which holds on descendant edges).
     """
     poly = rest.poly
     ring = poly.ring
     nvars = poly.nvars
     content = _content(poly)
     classes = None
-    if prefer_factored or not any(content):
+    if monic_last or not any(content):
         unit, classes = factor_univariate(ring, list(rest.univariate), seed)
 
     if classes is not None and len(classes) >= 2:
@@ -582,15 +596,7 @@ def _prime_power(rest, base, mult):
     unit_scalar = ring.div(poly.terms[pt], power.terms[pt])
     if power.scale(unit_scalar) != poly:
         return None
-    return PrimePower(F, mult, unit_scalar, _is_binomial(F))
-
-
-def _is_binomial(F):
-    support = F.support()
-    if len(support) != 2:
-        return False
-    diff = exp_sub(support[1], support[0])
-    return primitive_vector(diff) == diff
+    return PrimePower(F, mult, unit_scalar)
 
 
 @dataclass(frozen=True)
@@ -629,15 +635,8 @@ def reducibility_witness(f, bound, seed=0):
     loose = [e for e in np.edges if e.loose]
     if not loose:
         return NoLooseEdge()
-    first_power = None
-    for edge in loose:
-        rest = edge_restriction(f, edge)
-        chosen = _split_from_restriction(rest, prefer_factored=False, seed=seed)
-        if isinstance(chosen, PrimePower):
-            if first_power is None:
-                first_power = EdgePrimePower(edge, chosen.factor, chosen.power, chosen.unit)
-            continue
-        g, h, cert = lift_factorization(f, edge, chosen, bound)
-        return ReducibleWithFactors(g, h, cert, edge)
-    assert first_power is not None
-    return first_power
+    edge, _, chosen = _first_split(f, loose, seed=seed)
+    if isinstance(chosen, PrimePower):
+        return EdgePrimePower(edge, chosen.factor, chosen.power, chosen.unit)
+    g, h, cert = lift_factorization(f, edge, chosen, bound)
+    return ReducibleWithFactors(g, h, cert, edge)

@@ -82,12 +82,6 @@ class NewtonPolyhedron:
         self.vertices = tuple(sorted(vertices, key=deglex_key))
         self.edges = tuple(edges)
 
-    def to_dict(self):
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "edges": [e.to_dict() for e in self.edges],
-        }
-
     def edge_between(self, a, b):
         a, b = tuple(a), tuple(b)
         for e in self.edges:
@@ -195,11 +189,6 @@ def face_of(np, xi):
     best = min(v for v, _ in values)
     face = tuple(p for v, p in values if v == best)
     return face, all(x > 0 for x in xi)
-
-
-def compact_edges(np):
-    """The compact edges, in the deterministic (a, b) order."""
-    return list(np.edges)
 
 
 def is_loose(np, edge):

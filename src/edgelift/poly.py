@@ -246,13 +246,3 @@ class SparsePoly:
         if not self.terms:
             return None
         return min(exp_dot(weights, e) for e in self.terms)
-
-
-def multiply(f, g, trunc=None):
-    """Product of two polynomials, optionally truncated at a weighted bound."""
-    return f.mul(g, trunc)
-
-
-def weighted_truncate(f, trunc):
-    """Terms of f with weighted degree at most the bound."""
-    return f.truncate(trunc)

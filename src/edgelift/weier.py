@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .lift import (LiftError, NotLoose, PrimePower, _run_lift, _split_from_restriction,
+from .lift import (LiftError, NotLoose, PrimePower, _first_split, _run_lift,
                    _top_in_last, _validate_split, edge_restriction)
 from .poly import SparsePoly, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
@@ -52,23 +52,12 @@ class WeierstrassInput:
         if self.f.nvars < 2:
             raise ValueError("need at least one x variable besides y")
 
-    @property
-    def degy(self):
-        return max(e[-1] for e in self.f.terms)
-
 
 def descendant_loose_edges(wi):
     """Loose compact edges with an orientation that has nonnegative x-entries
     and a negative y-entry, in the deterministic edge order."""
     np = newton.build(wi.f)
     return [e for e in np.edges if e.loose and e.descendant]
-
-
-def _monic_in_y(G):
-    """Check that G's top term in the last variable is the bare monomial
-    (0, ..., 0, d) with coefficient one."""
-    d, lead = _top_in_last(G)
-    return lead == G.ring.one(), d
 
 
 def lift_monic(wi, edge, split, bound):
@@ -81,8 +70,8 @@ def lift_monic(wi, edge, split, bound):
         raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
     rest = edge_restriction(f, edge)
     _validate_split(split, rest.poly)
-    ok, d = _monic_in_y(split.G)
-    if not ok:
+    d, top = _top_in_last(split.G)
+    if top != split.G.ring.one():
         raise NotMonic("G must be monic in the last variable")
     gbar, hbar, cert = _run_lift(f, rest.ws, split.G, split.H, bound)
     assert gbar.coeff((0,) * (f.nvars - 1) + (d,)) == f.ring.one()
@@ -187,8 +176,8 @@ def poly_divide(f, g, bound_x):
     total x-degree at ``bound_x``.  The divisor must be monic in y."""
     ring = f.ring
     nvars = f.nvars
-    ok, d = _monic_in_y(g)
-    if not ok:
+    d, top = _top_in_last(g)
+    if top != ring.one():
         raise NotMonic("the divisor must be monic in the last variable")
     q = SparsePoly.zero(nvars, ring)
     r = _truncate_x(f, bound_x)
@@ -315,18 +304,11 @@ def padic_newton_factor(pp, seed=0):
     if not edges:
         return NoLooseEdgeInfo(polygon)
 
-    failure = None
-    for edge in edges:
-        rest = edge_restriction(plane, edge)
-        chosen = _split_from_restriction(rest, prefer_factored=True,
-                                         monic_last=True, seed=seed)
-        if isinstance(chosen, PrimePower):
-            if failure is None:
-                failure = NoCoprimeSplit(edge, chosen.factor, chosen.power, polygon)
-            continue
-        g, h, cert = _padic_lift(pp, rest, chosen)
-        return PadicFactors((g, h), edge, rest.poly, polygon, cert)
-    return failure
+    edge, rest, chosen = _first_split(plane, edges, monic_last=True, seed=seed)
+    if isinstance(chosen, PrimePower):
+        return NoCoprimeSplit(edge, chosen.factor, chosen.power, polygon)
+    g, h, cert = _padic_lift(pp, rest, chosen)
+    return PadicFactors((g, h), edge, rest.poly, polygon, cert)
 
 
 def _padic_lift(pp, rest, split):

@@ -126,7 +126,7 @@ def test_criterion_3_example3():
 
     from edgelift.lift import _split_from_restriction
 
-    split = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    split = _split_from_restriction(rest, monic_last=True)
     assert split.G == parse("y - x1^5*x2^7", X12Y, Q)
     ws = rest.ws
 

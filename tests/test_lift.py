@@ -12,11 +12,12 @@ from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
                            ReducibleWithFactors, SplitRequest,
                            coprime_check, edge_poly_from_univariate,
                            edge_prime_power_test, edge_restriction,
-                           edge_univariate, factor_edge_univariate,
                            Unsolvable, lift_factorization, reducibility_witness,
                            restrict, solve_cofactor)
 from edgelift.newton import Edge, build
-from edgelift.poly import SparsePoly, WeightedBound, exp_add
+from edgelift.linalg import solve_field
+from edgelift.poly import SparsePoly, WeightedBound, exp_add, exp_dot, exp_sub
+from edgelift.unifactor import factor_univariate
 
 Q = rationals()
 X123 = VarTable(("x1", "x2", "x3"))
@@ -58,7 +59,7 @@ def test_edge_univariate_reconstruction():
     full = parse(DIVISIBILITY_F, X123, Q)
     e = the_edge(full, (1, 1, 1), (2, 2, 0))
     rest = edge_restriction(full, e)
-    content, uni = edge_univariate(rest)
+    content, uni = rest.content, list(rest.univariate)
     assert content == (1, 1, 1)
     assert uni == [Fraction(1), Fraction(1)]  # 1 + t
     rebuilt = edge_poly_from_univariate(Q, 3, e.direction, uni, anchor=content)
@@ -98,11 +99,11 @@ def test_coprime_check_cases():
 
 
 def test_factor_edge_univariate_dispatch():
-    unit, factors = factor_edge_univariate([Fraction(-1), Fraction(0), Fraction(1)], Q)
+    unit, factors = factor_univariate(Q, [Fraction(-1), Fraction(0), Fraction(1)])
     assert [c for c, _ in factors] == [[Fraction(-1), Fraction(1)],
                                        [Fraction(1), Fraction(1)]]
     f2 = prime_field(2)
-    unit, factors = factor_edge_univariate([1, 0, 1], f2)
+    unit, factors = factor_univariate(f2, [1, 0, 1])
     assert factors == [([1, 1], 2)]
 
 
@@ -150,8 +151,9 @@ def random_direction(rng, n):
             return tuple(x // g for x in c)
 
 
-def random_coprime_split(rng, ws, ring):
-    """Edge-homogeneous coprime (G, H) with G free of variable factors."""
+def random_coprime_split(rng, ws, ring, g_content=False):
+    """Edge-homogeneous coprime (G, H); G is free of variable factors unless
+    ``g_content`` gives it a random monomial content too."""
     from edgelift.unifactor import pgcd, degree
 
     n = ws.nvars
@@ -164,6 +166,8 @@ def random_coprime_split(rng, ws, ring):
         if degree(pgcd(u, v, ring)) != 0:
             continue
         G = edge_poly_from_univariate(ring, n, ws.direction, u)
+        if g_content:
+            G = G.mul_monomial(tuple(rng.randint(0, 2) for _ in range(n)))
         m = tuple(rng.randint(0, 2) for _ in range(n))
         H = edge_poly_from_univariate(ring, n, ws.direction, v).mul_monomial(m)
         if G and H and coprime_check(G, H):
@@ -191,6 +195,75 @@ def test_solve_cofactor_randomized_identity():
         hp, gp = solve_cofactor(G, H, r, ws)
         assert G * hp + H * gp == r
         done += 1
+
+
+def reference_cofactor(G, H, r, ws, caps):
+    """solve_cofactor's answer from the explicit cofactor matrix, or None
+    when it is inconsistent.  The columns are the capped h'- and g'-slices,
+    each in slice order; the rows are the points those columns reach plus
+    r's terms.  Also returns whether some g'-column reaches a row beyond
+    either end of the h'-block's rows along the edge direction."""
+    ring, n = r.ring, r.nvars
+    wr = ws.weight(next(iter(r.terms)))
+    h_pts = ws.slice(exp_sub(wr, ws.weight(next(iter(G.terms)))), max_last=caps[0]).points
+    g_pts = ws.slice(exp_sub(wr, ws.weight(next(iter(H.terms)))), max_last=caps[1]).points
+    columns = [(G, p) for p in h_pts] + [(H, p) for p in g_pts]
+    rows = sorted({exp_add(e, p) for F, p in columns for e in F.terms} | set(r.terms))
+    matrix = [[F.coeff(exp_sub(row, p)) for F, p in columns] for row in rows]
+    solution = solve_field(ring, matrix, [r.coeff(row) for row in rows])
+
+    def positions(F, pts):
+        return [exp_dot(exp_add(e, p), ws.direction) for p in pts for e in F.terms]
+
+    h_rows, g_rows = positions(G, h_pts), positions(H, g_pts)
+    overhang = bool(h_rows) and any(t < min(h_rows) or t > max(h_rows) for t in g_rows)
+    if solution is None:
+        return None, overhang
+    h_part = SparsePoly(n, ring, zip(h_pts, solution[:len(h_pts)]))
+    g_part = SparsePoly(n, ring, zip(g_pts, solution[len(h_pts):]))
+    return (h_part, g_part), overhang
+
+
+def test_solve_cofactor_matches_matrix_reference():
+    """solve_cofactor returns the matrix solution with free variables zero,
+    and raises Unsolvable exactly when the matrix system is inconsistent,
+    for G with content, residuals on part of a slice and capped columns."""
+    rng = random.Random(20261018)
+    outcomes = {"solved": 0, "unsolvable": 0, "solved_overhang": 0}
+    done = 0
+    while done < 300:
+        n = rng.randint(2, 4)
+        ws = orthogonal_basis(random_direction(rng, n))
+        ring = Q if rng.random() < 0.5 else prime_field(7)
+        G, H = random_coprime_split(rng, ws, ring, g_content=True)
+        w = ws.weight(next(iter(G.terms)))
+        z = ws.weight(next(iter(H.terms)))
+        i = ws.weight(tuple(rng.randint(0, 4) for _ in range(n)))
+        points = ws.slice(exp_add(exp_add(w, z), i)).points
+        if not points:
+            continue
+        start = rng.randrange(len(points))
+        segment = points[start:start + rng.randint(1, 4)]
+        r = SparsePoly(n, ring, {p: ring.from_int(rng.randint(-5, 5)) for p in segment})
+        if not r:
+            continue
+        caps = tuple(rng.choice((None, 0, 1, 2, 3, 4, 5, 6)) for _ in range(2))
+        expected, overhang = reference_cofactor(G, H, r, ws, caps)
+        if expected is None:
+            outcomes["unsolvable"] += 1
+            with pytest.raises(Unsolvable):
+                solve_cofactor(G, H, r, ws, caps)
+        else:
+            outcomes["solved"] += 1
+            outcomes["solved_overhang"] += overhang
+            hp, gp = solve_cofactor(G, H, r, ws, caps)
+            assert (hp, gp) == expected
+            assert G * hp + H * gp == r
+        done += 1
+    # both verdicts occur, and solved systems often have g'-columns that
+    # reach past the h'-block
+    assert outcomes["solved"] >= 50 and outcomes["unsolvable"] >= 50
+    assert outcomes["solved_overhang"] >= 30
 
 
 def test_cofactor_composition_property():
@@ -360,7 +433,7 @@ def test_edge_prime_power_examples():
     g = parse("x + y", VarTable(("x", "y")), Q)
     rest_g = edge_restriction(g, build(g).edges[0])
     pp = edge_prime_power_test(rest_g)
-    assert pp is not None and pp.power == 1 and pp.binomial
+    assert pp is not None and pp.power == 1 and len(pp.factor) == 2
     assert pp.factor.scale(pp.unit) == rest_g.poly
 
 
@@ -374,7 +447,6 @@ def test_edge_prime_power_cube_over_f3():
     assert pp.power == 3
     assert render(pp.factor, vt) == "y + 2*p"
     assert pp.unit == 1
-    assert pp.binomial
 
 
 def test_reducibility_witness_example2():
@@ -460,7 +532,7 @@ def test_factor_edge_univariate_unsupported_ring():
     from edgelift.unifactor import UnsupportedRing
 
     with pytest.raises(UnsupportedRing):
-        factor_edge_univariate([1, 1], residue_ring(2, 4))
+        factor_univariate(residue_ring(2, 4), [1, 1])
 
 
 def test_lift_steps_enumerate_each_slice_once(monkeypatch):
@@ -537,3 +609,23 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
         eliminations.clear()
         steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
         assert (len(eliminations), len(steps)) == (2, 44)
+
+
+def test_edge_restriction_of_a_long_edge_skips_its_lattice_points(monkeypatch):
+    """The restriction picks f's terms on the segment without walking the
+    segment's 10^6 lattice points."""
+    vt = VarTable(("x", "y"))
+    f = parse("x^1000000*y - x*y^1000000", vt, Q)
+    e = build(f).edges[0]
+
+    def walk(self):
+        raise AssertionError("edge_restriction walked the lattice points")
+
+    monkeypatch.setattr(Edge, "lattice_points", walk)
+    rest = edge_restriction(f, e)
+    assert rest.poly == f
+    assert rest.content == (1, 1000000)
+    uni = rest.univariate
+    assert len(uni) == 1000000
+    assert (uni[0], uni[-1]) == (-1, 1)
+    assert sum(1 for c in uni if c) == 2

@@ -6,7 +6,7 @@ import pytest
 from edgelift.coeffs import rationals
 from edgelift.expr import VarTable, parse
 from edgelift.newton import (DimensionMismatch, NotAnEdge, ZeroPolynomial,
-                             build, build_from_support, compact_edges, face_of,
+                             build, build_from_support, face_of,
                              is_loose, is_polygonal, minkowski)
 from edgelift.poly import SparsePoly
 
@@ -80,9 +80,9 @@ def test_face_of_example3_edge():
 
 def test_compact_edges_examples():
     np = build(parse(EXAMPLE1, XYZ, Q))
-    assert len(compact_edges(np)) == 1
+    assert len(np.edges) == 1
     mono = build(parse("x^3*y", XYZ, Q))
-    assert compact_edges(mono) == []
+    assert mono.edges == ()
     # Example 4 polygon at p = 2: support points (v_2(a_j), j)
     np4 = build_from_support([(2, 0), (1, 1), (0, 3)], 2)
     assert set(np4.vertices) == {(0, 3), (1, 1), (2, 0)}

@@ -5,7 +5,7 @@ import pytest
 
 from edgelift.coeffs import RingMismatch, prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse
-from edgelift.poly import SparsePoly, WeightedBound, exp_add, multiply, weighted_truncate
+from edgelift.poly import SparsePoly, WeightedBound, exp_add
 
 Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
@@ -55,9 +55,9 @@ def test_multiply_two_factor_product():
 def test_weighted_truncate_simple():
     vt = VarTable(("x",))
     f = parse("x + x^3", vt, Q)
-    assert weighted_truncate(f, WeightedBound((1,), 2)) == parse("x", vt, Q)
+    assert f.truncate(WeightedBound((1,), 2)) == parse("x", vt, Q)
     # a bound above every support weight is a no-op
-    assert weighted_truncate(f, WeightedBound((1,), 99)) == f
+    assert f.truncate(WeightedBound((1,), 99)) == f
 
 
 def test_weighted_truncate_example_polynomial():
@@ -65,7 +65,7 @@ def test_weighted_truncate_example_polynomial():
     # oracle: weights under (1,1,1) are 8, 4, 6 and 14
     weights = {e: sum(e) for e in f.terms}
     assert sorted(weights.values()) == [4, 6, 8, 14]
-    kept = weighted_truncate(f, WeightedBound((1, 1, 1), 8))
+    kept = f.truncate(WeightedBound((1, 1, 1), 8))
     assert set(kept.terms) == {e for e, w in weights.items() if w <= 8}
     assert (7, 5, 2) not in kept.terms
     assert len(kept) == 3
@@ -119,10 +119,8 @@ def test_truncated_product_consistency():
         f = random_poly(3, Q, rng)
         g = random_poly(3, Q, rng)
         bound = WeightedBound((1, 2, 1), rng.randint(0, 12))
-        lhs = weighted_truncate(f * g, bound)
-        rhs = weighted_truncate(
-            multiply(weighted_truncate(f, bound), weighted_truncate(g, bound), bound),
-            bound)
+        lhs = (f * g).truncate(bound)
+        rhs = f.truncate(bound).mul(g.truncate(bound), bound).truncate(bound)
         assert lhs == rhs
 
 
@@ -137,8 +135,8 @@ def test_truncated_multiply_matches_full():
             # hand it one stored heaviest first.
             g = SparsePoly(2, ring, sorted(g.terms.items(),
                                            key=lambda t: -bound.weight_of(t[0])))
-            product = multiply(f, g, bound)
-            assert product == weighted_truncate(f * g, bound)
+            product = f.mul(g, bound)
+            assert product == (f * g).truncate(bound)
             assert_canonical(product)
 
 

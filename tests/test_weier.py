@@ -47,7 +47,7 @@ def test_lift_monic_example3():
     wi = example3()
     edge = descendant_loose_edges(wi)[0]
     rest = edge_restriction(wi.f, edge)
-    split = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    split = _split_from_restriction(rest, monic_last=True)
     assert render(split.G, X12Y) == "y - x1^5*x2^7"
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 60)
@@ -95,7 +95,7 @@ def test_lift_monic_rejects_invalid_splits():
     wi = example3()
     edge = descendant_loose_edges(wi)[0]
     rest = edge_restriction(wi.f, edge)
-    good = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    good = _split_from_restriction(rest, monic_last=True)
     bound = WeightedBound(orthogonal_basis(edge.direction).xi0, 30)
     zero = SparsePoly.zero(3, Q)
     bad = [SplitRequest(zero, good.H), SplitRequest(good.G, zero),
@@ -169,7 +169,7 @@ def test_full_monic_pipeline_example3():
     wi = example3()
     edge = descendant_loose_edges(wi)[0]
     rest = edge_restriction(wi.f, edge)
-    split = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    split = _split_from_restriction(rest, monic_last=True)
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 60)
     gbar, hbar, _ = lift_monic(wi, edge, split, bound)
@@ -193,7 +193,7 @@ def test_monic_pipeline_bound_stability():
     wi = example3()
     edge = descendant_loose_edges(wi)[0]
     rest = edge_restriction(wi.f, edge)
-    split = _split_from_restriction(rest, prefer_factored=True, monic_last=True)
+    split = _split_from_restriction(rest, monic_last=True)
     ws = orthogonal_basis(edge.direction)
     g1, h1, _ = lift_monic(wi, edge, split, WeightedBound(ws.xi0, 30))
     g2, h2, _ = lift_monic(wi, edge, split, WeightedBound(ws.xi0, 60))
