@@ -38,8 +38,6 @@ def build_parser():
     common.add_argument("--field", default="Q",
                         help="coefficient ring: Q, F<p>, or Z/<p>^<k> (default Q)")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized factoring steps (default 0)")
 
     p = sub.add_parser("analyze", parents=[common],
                        help="polyhedron report: vertices, edges, restrictions")
@@ -191,6 +189,16 @@ def _reducible_report(edge, g, h, cert, vars_):
     }
 
 
+def _prime_power_report(power, vars_):
+    return {
+        "verdict": "edge_prime_power",
+        "edge": power.edge.to_dict(),
+        "factor": expr.render(power.factor, vars_),
+        "power": power.power,
+        "unit": str(power.unit),
+    }
+
+
 def _match_split_edge(f, loose, G, H):
     """Pick the loose edge whose restriction equals G*H, else the first."""
     product = G * H
@@ -205,7 +213,7 @@ def _match_split_edge(f, loose, G, H):
 
 def cmd_factor(args):
     ring, vars_, f = _setup(args)
-    if args.split is None:
+    if args.split is None and args.edge is None:
         return _witness(f, vars_, args)
     np = newton.build(f)
     split = _parse_split(args, vars_, ring)
@@ -217,6 +225,13 @@ def cmd_factor(args):
     else:
         _emit({"verdict": "no_loose_edge"}, args)
         return EXIT_INCONCLUSIVE
+    if split is None:
+        if not edge.loose:
+            raise lift.NotLoose(f"edge {edge.a}-{edge.b} is not loose")
+        _, split = lift._first_split(f, [edge])
+        if isinstance(split, lift.EdgePrimePower):
+            _emit(_prime_power_report(split, vars_), args)
+            return EXIT_INCONCLUSIVE
     bound = WeightedBound(orthogonal_basis(edge.direction).xi0, args.bound)
     try:
         g, h, cert = lift.lift_factorization(f, edge, split, bound)
@@ -236,18 +251,12 @@ def _witness(f, vars_, args):
         return EXIT_INCONCLUSIVE
     # the weights of the first loose edge, used on whichever edge is lifted
     bound = WeightedBound(orthogonal_basis(loose[0].direction).xi0, args.bound)
-    result = lift.reducibility_witness(f, bound, seed=args.seed)
+    result = lift.reducibility_witness(f, bound)
     if isinstance(result, lift.ReducibleWithFactors):
         _emit(_reducible_report(result.edge, result.g, result.h, result.certificate, vars_),
               args)
         return EXIT_OK
-    _emit({
-        "verdict": "edge_prime_power",
-        "edge": result.edge.to_dict(),
-        "factor": expr.render(result.factor, vars_),
-        "power": result.power,
-        "unit": str(result.unit),
-    }, args)
+    _emit(_prime_power_report(result, vars_), args)
     return EXIT_INCONCLUSIVE
 
 
@@ -267,8 +276,8 @@ def cmd_weierstrass(args):
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, args.bound)
     if split is None:
-        _, _, chosen = lift._first_split(f, [edge], monic_last=True, seed=args.seed)
-        if isinstance(chosen, lift.PrimePower):
+        _, chosen = lift._first_split(f, [edge], monic_last=True)
+        if isinstance(chosen, lift.EdgePrimePower):
             _emit({
                 "verdict": "no_coprime_split",
                 "edge": edge.to_dict(),
@@ -277,7 +286,11 @@ def cmd_weierstrass(args):
             }, args)
             return EXIT_INCONCLUSIVE
         split = chosen
-    gbar, hbar, cert = weier.lift_monic(wi, edge, split, bound)
+    try:
+        gbar, hbar, cert = weier.lift_monic(wi, edge, split, bound)
+    except lift.InvalidSplit as err:
+        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
+        return EXIT_INCONCLUSIVE
     d = max(e[-1] for e in split.G.terms)
     bound_x = weier.weight_to_x_bound(ws, args.bound)
     unit, g = weier.weierstrass_normalize(gbar, d, bound_x)
@@ -306,7 +319,7 @@ def cmd_padic(args):
     for e, c in f.terms.items():
         coeffs[e[0]] = int(c)
     pp = weier.PadicPoly(tuple(coeffs), args.prime, args.prec)
-    verdict = weier.padic_newton_factor(pp, seed=args.seed)
+    verdict = weier.padic_newton_factor(pp)
     base = {
         "p": args.prime,
         "k": args.prec,

@@ -84,10 +84,11 @@ class EdgeRestriction:
 
 
 @dataclass(frozen=True)
-class PrimePower:
-    """Certificate that a restriction is unit * F^power with F irreducible
-    whenever the content is trivial."""
+class EdgePrimePower:
+    """Certificate that the restriction of f to ``edge`` is unit * F^power,
+    with F irreducible whenever the content is trivial."""
 
+    edge: newton.Edge
     factor: SparsePoly
     power: int
     unit: object
@@ -382,7 +383,7 @@ def _lift_from_residue(P, ring):
 
 
 def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residue,
-              caps_ladder=((None, None),)):
+              caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at ``bound`` (None: not truncated), is
@@ -390,8 +391,8 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
     ``view`` maps it to the graded residue-field polynomial the steps clear
     (mod p over Z/p^k, the identity over a field, the plane model for
     ``padic``), and ``embed(P, f.ring)`` carries a residue-field solution
-    back into f's ring.  Each step tries the (h_cap, g_cap) pairs of
-    ``caps_ladder`` in turn until a capped cofactor system is consistent.
+    back into f's ring.  ``caps`` bounds the last coordinates of every
+    step's (h', g') columns; a step inconsistent within them is Unsolvable.
     G and H are fixed, so a system eliminated once serves every later step
     with the same columns up to translation; nothing is kept past the call.
     """
@@ -420,16 +421,8 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
         if any(x < 0 for x in step):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         initial = visible.restrict_to([e for e, we in weights.items() if we == wmin])
-        for caps in caps_ladder:
-            h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin, caps)
-            try:
-                h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts,
-                                                  systems)
-                break
-            except Unsolvable as exc:
-                error = exc
-        else:
-            raise error
+        h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin, caps)
+        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts, systems)
         cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin),
                                    solved=(len(h_part), len(g_part))))
         g_part = embed(g_part, ring)
@@ -476,35 +469,35 @@ def lift_factorization(f, edge, split, bound):
 
 # -- irreducibility-witness logic -------------------------------------------------
 
-def _first_split(f, edges, monic_last=False, seed=0):
+def _first_split(f, edges, monic_last=False):
     """The first of ``edges`` whose restriction of f has a coprime split.
 
-    Returns (edge, restriction, SplitRequest) for the first such edge, or
-    (edge, restriction, PrimePower) for the first edge when none has one.
-    ``edges`` must be nonempty; ``monic_last`` and ``seed`` are passed to
+    Returns (restriction, SplitRequest) for the first such edge, or
+    (restriction, EdgePrimePower) for the first edge when none has one.
+    ``edges`` must be nonempty; ``monic_last`` is passed to
     _split_from_restriction.
     """
     first = None
     for edge in edges:
         rest = edge_restriction(f, edge)
-        split = _split_from_restriction(rest, monic_last, seed)
+        split = _split_from_restriction(rest, monic_last)
         if isinstance(split, SplitRequest):
-            return edge, rest, split
+            return rest, split
         if first is None:
-            first = edge, rest, split
+            first = rest, split
     return first
 
 
-def _split_from_restriction(rest, monic_last=False, seed=0):
+def _split_from_restriction(rest, monic_last=False):
     """Choose a coprime split of an edge restriction, or report prime-power
     structure.
 
-    Returns either a SplitRequest or a PrimePower.  The canonical split pulls
-    the monomial content into H; the factored split puts the first irreducible
-    class into G and everything else into H.  With ``monic_last`` the
-    factored split is preferred whenever there are two classes, and the G
-    part is normalized to be monic in the last variable (its top term must
-    be free of the other variables, which holds on descendant edges).
+    Returns either a SplitRequest or an EdgePrimePower.  The canonical split
+    pulls the monomial content into H; the factored split puts the first
+    irreducible class into G and everything else into H.  With
+    ``monic_last`` the factored split is preferred whenever there are two
+    classes, and G is normalized to be monic in the last variable (its top
+    term must be free of the other variables, which holds on descendant edges).
     """
     poly = rest.poly
     ring = poly.ring
@@ -512,7 +505,7 @@ def _split_from_restriction(rest, monic_last=False, seed=0):
     content = _content(poly)
     classes = None
     if monic_last or not any(content):
-        unit, classes = factor_univariate(ring, list(rest.univariate), seed)
+        unit, classes = factor_univariate(ring, list(rest.univariate))
 
     if classes is not None and len(classes) >= 2:
         first, mult = classes[0]
@@ -566,20 +559,8 @@ def _normalize_monic_last(G, H):
     return G.scale(ring.invert(lam)), H.scale(lam)
 
 
-def edge_prime_power_test(rest, seed=0):
-    """If the restriction is unit * F^k for a single irreducible univariate
-    class and the content is a compatible k-th power, return that PrimePower;
-    otherwise None.  F is irreducible precisely when the content is trivial."""
-    if degree(list(rest.univariate)) < 1:
-        return None
-    unit, classes = factor_univariate(rest.poly.ring, list(rest.univariate), seed)
-    if len(classes) != 1:
-        return None
-    return _prime_power(rest, *classes[0])
-
-
 def _prime_power(rest, base, mult):
-    """The PrimePower certificate rest.poly = unit * F^mult, where F is the
+    """The EdgePrimePower certificate rest.poly = unit * F^mult, where F is the
     edge polynomial of the univariate class ``base`` times the mult-th root
     of the content; None when the content has no such root or the power
     misses the restriction."""
@@ -596,7 +577,7 @@ def _prime_power(rest, base, mult):
     unit_scalar = ring.div(poly.terms[pt], power.terms[pt])
     if power.scale(unit_scalar) != poly:
         return None
-    return PrimePower(F, mult, unit_scalar)
+    return EdgePrimePower(rest.edge, F, mult, unit_scalar)
 
 
 @dataclass(frozen=True)
@@ -612,15 +593,7 @@ class NoLooseEdge:
     pass
 
 
-@dataclass(frozen=True)
-class EdgePrimePower:
-    edge: newton.Edge
-    factor: SparsePoly
-    power: int
-    unit: object
-
-
-def reducibility_witness(f, bound, seed=0):
+def reducibility_witness(f, bound):
     """Decide reducibility through the loose edges of Delta(f).
 
     For each loose edge: with at least three vertices (equivalently, a
@@ -635,8 +608,8 @@ def reducibility_witness(f, bound, seed=0):
     loose = [e for e in np.edges if e.loose]
     if not loose:
         return NoLooseEdge()
-    edge, _, chosen = _first_split(f, loose, seed=seed)
-    if isinstance(chosen, PrimePower):
-        return EdgePrimePower(edge, chosen.factor, chosen.power, chosen.unit)
-    g, h, cert = lift_factorization(f, edge, chosen, bound)
-    return ReducibleWithFactors(g, h, cert, edge)
+    rest, chosen = _first_split(f, loose)
+    if isinstance(chosen, EdgePrimePower):
+        return chosen
+    g, h, cert = lift_factorization(f, rest.edge, chosen, bound)
+    return ReducibleWithFactors(g, h, cert, rest.edge)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .lift import (LiftError, NotLoose, PrimePower, _first_split, _run_lift,
+from .lift import (EdgePrimePower, LiftError, NotLoose, _first_split, _run_lift,
                    _top_in_last, _validate_split, edge_restriction)
 from .poly import SparsePoly, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
@@ -285,7 +285,7 @@ class NoLooseEdgeInfo:
     polygon: newton.NewtonPolyhedron
 
 
-def padic_newton_factor(pp, seed=0):
+def padic_newton_factor(pp):
     """Factor over Z/p^k through the Newton polygon.
 
     Builds the polygon on the points (v_p(a_j), j); every compact edge of a
@@ -304,11 +304,11 @@ def padic_newton_factor(pp, seed=0):
     if not edges:
         return NoLooseEdgeInfo(polygon)
 
-    edge, rest, chosen = _first_split(plane, edges, monic_last=True, seed=seed)
-    if isinstance(chosen, PrimePower):
-        return NoCoprimeSplit(edge, chosen.factor, chosen.power, polygon)
+    rest, chosen = _first_split(plane, edges, monic_last=True)
+    if isinstance(chosen, EdgePrimePower):
+        return NoCoprimeSplit(chosen.edge, chosen.factor, chosen.power, polygon)
     g, h, cert = _padic_lift(pp, rest, chosen)
-    return PadicFactors((g, h), edge, rest.poly, polygon, cert)
+    return PadicFactors((g, h), rest.edge, rest.poly, polygon, cert)
 
 
 def _padic_lift(pp, rest, split):
@@ -319,16 +319,14 @@ def _padic_lift(pp, rest, split):
     plane model and embedding corrections by canonical residues.  Each step
     caps the solution blocks at the y-degrees of the true factors (deg G
     and deg f - deg G), since free choices above those degrees would stop
-    the p-adic sums from converging, and widens the caps when a capped
-    system is inconsistent.
+    the p-adic sums from converging.
     """
     f = _as_poly(pp)
     ws = rest.ws
     deg_y = max(j for (j,) in f.terms)
     d_monic = max(j for _, j in split.G.terms)
-    ladder = tuple((max(deg_y - d_monic + extra, 0), d_monic + extra)
-                   for extra in (0, 2, 4)) + ((None, None),)
-    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane, _embed_plane, ladder)
+    caps = (deg_y - d_monic, d_monic)
+    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane, _embed_plane, caps)
     assert g * h == f, "p-adic product check failed"
     cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
     for step in cert.steps:

@@ -1,0 +1,36 @@
+"""Replay every case of cases.json through a command line.
+
+    python tests/golden/replay.py edgelift
+    PYTHONPATH=src python tests/golden/replay.py python -m edgelift.cli
+
+Runs the given command with each case's argv, compares stdout byte for byte
+with <name>.out and the exit code with the case's, and exits 1 when any
+case differs.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent
+
+
+def main(command):
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    failed = 0
+    for case in cases:
+        run = subprocess.run(command + case["argv"], capture_output=True)
+        expected = (GOLDEN / f"{case['name']}.out").read_bytes()
+        if run.stdout != expected or run.returncode != case["exit"]:
+            failed += 1
+            print(f"FAIL {case['name']}: exit {run.returncode} (expected {case['exit']}), "
+                  f"stdout {'matches' if run.stdout == expected else 'differs'}")
+    print(f"{len(cases) - failed} of {len(cases)} golden cases match")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1:]))

@@ -89,6 +89,20 @@ def test_factor_prime_power_exit2(capsys):
     assert report["power"] == 1
 
 
+def test_factor_edge_without_split(capsys):
+    # golden/factor_edge_without_split.out pins the lift through edge 1
+    code, _ = run(capsys, ["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3", "--edge", "2"])
+    assert code == 3
+    code, report = run(capsys, ["factor", "x^2 - 2*x*y + y^2", "--vars", "x,y",
+                                "--edge", "0"])
+    assert code == 2
+    assert report["verdict"] == "edge_prime_power"
+    assert report["power"] == 2
+    # a prime-power restriction on an edge that is not loose is not lifted
+    code, out = run(capsys, ["factor", "x + y + z", "--edge", "0"])
+    assert code == 2 and out == ""
+
+
 def test_padic_p2(capsys):
     code, report = run(capsys, ["padic", "-p", "2", "--prec", "32", F4])
     assert code == 0
@@ -152,6 +166,13 @@ def test_weierstrass_command(capsys):
     assert report["division_remainder"] == "0"
 
 
+def test_weierstrass_invalid_split(capsys):
+    code, report = run(capsys, ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y",
+                                "--split", "y-x,y-x"])
+    assert code == 2
+    assert report == {"verdict": "invalid_split", "reason": "ProductMismatch"}
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     path.write_text(EXAMPLE1)
@@ -168,9 +189,9 @@ def test_text_format(capsys):
 
 
 def test_seed_determinism(capsys):
-    main(["factor", EXAMPLE1, "--bound", "40", "--seed", "7"])
+    main(["factor", EXAMPLE1, "--bound", "40"])
     first = capsys.readouterr().out
-    main(["factor", EXAMPLE1, "--bound", "40", "--seed", "7"])
+    main(["factor", EXAMPLE1, "--bound", "40"])
     second = capsys.readouterr().out
     assert first == second
 
@@ -202,6 +223,7 @@ def test_one_polyhedron_per_request(monkeypatch, capsys):
 
     assert count(["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3",
                   "--split", "x3+x1*x2,x1*x2"]) == 1
+    assert count(["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3", "--edge", "1"]) == 1
     assert count(["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"]) == 1
     # the witness builds once more inside reducibility_witness
     assert count(["factor", EXAMPLE1, "--bound", "12"]) == 2

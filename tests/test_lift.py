@@ -10,8 +10,8 @@ from edgelift.grading import orthogonal_basis
 from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
                            EmptyFace, InvalidSplit, NoLooseEdge, NotLoose,
                            ReducibleWithFactors, SplitRequest,
-                           coprime_check, edge_poly_from_univariate,
-                           edge_prime_power_test, edge_restriction,
+                           _split_from_restriction, coprime_check,
+                           edge_poly_from_univariate, edge_restriction,
                            Unsolvable, lift_factorization, reducibility_witness,
                            restrict, solve_cofactor)
 from edgelift.newton import Edge, build
@@ -428,12 +428,14 @@ def test_support_weights_lie_in_monoid():
 def test_edge_prime_power_examples():
     f = parse(EXAMPLE1, XYZ, Q)
     rest = edge_restriction(f, build(f).edges[0])
-    assert edge_prime_power_test(rest) is None  # splits into two factors
+    assert isinstance(_split_from_restriction(rest), SplitRequest)  # two factors
 
     g = parse("x + y", VarTable(("x", "y")), Q)
     rest_g = edge_restriction(g, build(g).edges[0])
-    pp = edge_prime_power_test(rest_g)
-    assert pp is not None and pp.power == 1 and len(pp.factor) == 2
+    pp = _split_from_restriction(rest_g)
+    assert isinstance(pp, EdgePrimePower)
+    assert pp.edge == rest_g.edge
+    assert pp.power == 1 and len(pp.factor) == 2
     assert pp.factor.scale(pp.unit) == rest_g.poly
 
 
@@ -442,8 +444,8 @@ def test_edge_prime_power_cube_over_f3():
     vt = VarTable(("p", "y"))
     f = parse("y^3 + 2*p^3", vt, f3)
     rest = edge_restriction(f, build(f).edges[0])
-    pp = edge_prime_power_test(rest)
-    assert pp is not None
+    pp = _split_from_restriction(rest)
+    assert isinstance(pp, EdgePrimePower)
     assert pp.power == 3
     assert render(pp.factor, vt) == "y + 2*p"
     assert pp.unit == 1

@@ -6,8 +6,8 @@ import pytest
 from edgelift.coeffs import prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
-from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, InvalidSplit, SplitRequest,
-                           _split_from_restriction, edge_restriction)
+from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, InvalidSplit, LiftError,
+                           SplitRequest, _split_from_restriction, edge_restriction)
 from edgelift.newton import build
 from edgelift.poly import SparsePoly, WeightedBound
 from edgelift.unifactor import pmul, trim
@@ -323,6 +323,30 @@ def test_padic_random_products():
             xi0 = orthogonal_basis(verdict.edge.direction).xi0
             assert cert.bound == (k - 1) * xi0[0] + (len(trim(f, ring)) - 1) * xi0[1]
     assert factored >= 10
+
+
+def test_padic_steps_solve_within_exact_caps():
+    # every lift step is consistent with its columns capped at the y-degrees
+    # of the factors, deg f - deg G for h' and deg G for g'
+    rng = random.Random(2718)
+    factored = 0
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        k = rng.randint(2, 40)
+        mod = p**k
+        units = [u + (u % p == 0) for u in (rng.randrange(1, mod) for _ in range(10))]
+        vals = (0, 0, 1, 1, 2, 3, 4, 6, 9, k)
+        coeffs = [u * p ** rng.choice(vals) for u in units[:rng.randint(2, 9)]]
+        pp = PadicPoly(tuple(coeffs) + (units[-1],), p, k)
+        try:
+            verdict = padic_newton_factor(pp)
+        except LiftError as err:
+            pytest.fail(f"{pp}: {err}")
+        if isinstance(verdict, PadicFactors):
+            factored += 1
+            a, b = verdict.factors
+            assert pmul(list(a), list(b), pp.ring) == trim(list(pp.coefficients), pp.ring)
+    assert factored >= 50
 
 
 def test_padic_monic_weierstrass_sanity():
