@@ -251,7 +251,7 @@ def _witness(f, vars_, args):
         return EXIT_INCONCLUSIVE
     # the weights of the first loose edge, used on whichever edge is lifted
     bound = WeightedBound(orthogonal_basis(loose[0].direction).xi0, args.bound)
-    result = lift.reducibility_witness(f, bound)
+    result = lift.reducibility_witness(f, bound, np)
     if isinstance(result, lift.ReducibleWithFactors):
         _emit(_reducible_report(result.edge, result.g, result.h, result.certificate, vars_),
               args)

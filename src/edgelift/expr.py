@@ -137,14 +137,17 @@ class _Parser:
         return f
 
     def expr(self):
-        f = self.term()
+        # one dict for the whole sum, so parsing is linear in the term count
+        out = dict(self.term().terms)
         while True:
             if self.take("+"):
-                f = f + self.term()
+                sign = 1
             elif self.take("-"):
-                f = f - self.term()
+                sign = -1
             else:
-                return f
+                return SparsePoly(self.nvars, self.ring, out)
+            for e, c in self.term().terms.items():
+                out[e] = out.get(e, 0) + sign * c
 
     def term(self):
         f = self.unary()
@@ -164,7 +167,7 @@ class _Parser:
             if tok[0] == "-":
                 raise NegativeExponent(tok[2])
             tok = self.expect("int", "a nonnegative integer exponent")
-            return f.pow(int(tok[1]))
+            return _power(f, int(tok[1]))
         return f
 
     def atom(self):
@@ -195,6 +198,17 @@ class _Parser:
             self.expect(")", "')'")
             return f
         raise ParseError(tok[2], "a number, variable or '('")
+
+
+def _power(f, n):
+    """f^n; a single term is raised directly, its coefficient mod the
+    modulus over F_p and Z/p^k."""
+    if len(f) != 1:
+        return f.pow(n)
+    ((e, c),) = f.terms.items()
+    ring = f.ring
+    c = c**n if ring.kind == RATIONALS else pow(c, n, ring.modulus)
+    return SparsePoly(f.nvars, ring, {tuple(n * x for x in e): c})
 
 
 def parse(text, vars_, ring):

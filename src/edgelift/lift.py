@@ -593,18 +593,19 @@ class NoLooseEdge:
     pass
 
 
-def reducibility_witness(f, bound):
+def reducibility_witness(f, bound, polyhedron=None):
     """Decide reducibility through the loose edges of Delta(f).
 
     For each loose edge: with at least three vertices (equivalently, a
     nontrivial content on the edge) the canonical split pulls the content
     monomial out; otherwise the edge univariate is factored and any coprime
     grouping is lifted.  When no edge offers a coprime split the first
-    prime-power certificate is reported.
+    prime-power certificate is reported.  ``polyhedron`` is Delta(f) when
+    the caller has already built it.
     """
     if not f:
         raise LiftError("cannot analyze the zero polynomial")
-    np = newton.build(f)
+    np = polyhedron if polyhedron is not None else newton.build(f)
     loose = [e for e in np.edges if e.loose]
     if not loose:
         return NoLooseEdge()

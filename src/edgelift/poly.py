@@ -51,10 +51,12 @@ def primitive_vector(v):
 
 
 @dataclass(frozen=True)
-class WeightedBound:
-    """A strictly positive weight vector plus a cutoff N.
+class LinearCap:
+    """An integer weight vector plus a cap.
 
-    A term with exponent alpha is kept when <weights, alpha> <= N.
+    A term with exponent alpha is kept when <weights, alpha> <= bound.  The
+    weight is additive on exponents, which is all a truncated product needs;
+    0/1 weights cap the degree in some of the variables.
     """
 
     weights: tuple
@@ -62,16 +64,25 @@ class WeightedBound:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise ValueError("truncation weights must be strictly positive")
-        if self.bound < 0:
-            raise ValueError("truncation bound must be nonnegative")
 
     def weight_of(self, exponent):
         return exp_dot(self.weights, exponent)
 
     def admits(self, exponent):
         return self.weight_of(exponent) <= self.bound
+
+
+@dataclass(frozen=True)
+class WeightedBound(LinearCap):
+    """A strictly positive weight vector plus a cutoff N >= 0, so that only
+    finitely many exponents are kept: the truncation bound of a lift."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.weights or any(w <= 0 for w in self.weights):
+            raise ValueError("truncation weights must be strictly positive")
+        if self.bound < 0:
+            raise ValueError("truncation bound must be nonnegative")
 
 
 class SparsePoly:
@@ -178,7 +189,8 @@ class SparsePoly:
         return self.mul(other)
 
     def mul(self, other, trunc=None):
-        """Exact product; with ``trunc`` terms above the weighted bound are dropped."""
+        """Exact product; with ``trunc`` (a LinearCap) the terms above its cap
+        are never formed."""
         self._check_compatible(other)
         out = {}
         if trunc is None:
@@ -226,7 +238,7 @@ class SparsePoly:
     # -- support manipulation -------------------------------------------------
 
     def truncate(self, trunc):
-        """Keep exactly the terms with <weights, alpha> <= N; None keeps all."""
+        """Keep exactly the terms ``trunc`` (a LinearCap) admits; None keeps all."""
         if trunc is None:
             return self
         return SparsePoly(self.nvars, self.ring,

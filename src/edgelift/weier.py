@@ -19,7 +19,7 @@ from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
 from .lift import (EdgePrimePower, LiftError, NotLoose, _first_split, _run_lift,
                    _top_in_last, _validate_split, edge_restriction)
-from .poly import SparsePoly, exp_add
+from .poly import LinearCap, SparsePoly, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
@@ -84,6 +84,11 @@ def _x_degree(e):
     return sum(e[:-1])
 
 
+def _y_below(nvars, d):
+    """Cap that keeps y-degree < d."""
+    return LinearCap((0,) * (nvars - 1) + (1,), d - 1)
+
+
 def _x_parts(f):
     """Group terms by total x-degree; values are SparsePoly slices."""
     buckets = {}
@@ -111,13 +116,12 @@ def _series_inverse_mod_y(v, d, nvars, ring):
     inv0 = ring.invert(c0)
     out = SparsePoly.constant(nvars, ring, inv0)
     one = SparsePoly.constant(nvars, ring, ring.one())
+    below_d = _y_below(nvars, d)
     for _ in range(d):
-        err = one - v * out
+        err = one - v.mul(out, below_d)
         if not err:
             break
-        err = SparsePoly(nvars, ring, {e: c for e, c in err.terms.items() if e[-1] < d})
-        out = SparsePoly(nvars, ring,
-                         {e: c for e, c in (out + out * err).terms.items() if e[-1] < d})
+        out = out + out.mul(err, below_d)
     return out
 
 
@@ -142,33 +146,32 @@ def weierstrass_normalize(gbar, d, bound_x):
     v = SparsePoly(nvars, ring,
                    {e[:-1] + (e[-1] - d,): c for e, c in zero_part.terms.items()})
     v_inv = _series_inverse_mod_y(v, d, nvars, ring)
+    below_d = _y_below(nvars, d)
 
     ypow_d = SparsePoly.monomial(nvars, ring, (0,) * (nvars - 1) + (d,))
     g_parts = {0: ypow_d}
     u_parts = {0: v}
     for m in range(1, bound_x + 1):
-        acc = parts.get(m, SparsePoly.zero(nvars, ring))
+        acc = dict(parts[m].terms) if m in parts else {}
         for i in range(1, m):
             if i in u_parts and (m - i) in g_parts:
-                acc = acc - u_parts[i] * g_parts[m - i]
+                for e, c in (u_parts[i] * g_parts[m - i]).terms.items():
+                    acc[e] = acc.get(e, 0) - c
+        acc = SparsePoly(nvars, ring, acc)
         # acc = v*g_m + u_m*y^d
-        low = SparsePoly(nvars, ring,
-                         {e: c for e, c in (v_inv * acc).terms.items() if e[-1] < d})
-        g_m = low
-        u_m_shift = acc - v * g_m
-        u_m_low, u_m = _y_split(u_m_shift, d)
+        g_m = v_inv.mul(acc, below_d)
+        u_m_low, u_m = _y_split(acc - v * g_m, d)
         assert not u_m_low, "Weierstrass division left a low-order remainder"
         if g_m:
             g_parts[m] = g_m
         if u_m:
             u_parts[m] = u_m
-    g = SparsePoly.zero(nvars, ring)
-    for part in g_parts.values():
-        g = g + part
-    u = SparsePoly.zero(nvars, ring)
-    for part in u_parts.values():
-        u = u + part
-    return u, g
+    return _join(u_parts.values(), nvars, ring), _join(g_parts.values(), nvars, ring)
+
+
+def _join(parts, nvars, ring):
+    """Sum of polynomials with pairwise disjoint supports, built once."""
+    return SparsePoly(nvars, ring, [t for part in parts for t in part.terms.items()])
 
 
 def poly_divide(f, g, bound_x):
@@ -179,9 +182,11 @@ def poly_divide(f, g, bound_x):
     d, top = _top_in_last(g)
     if top != ring.one():
         raise NotMonic("the divisor must be monic in the last variable")
-    q = SparsePoly.zero(nvars, ring)
-    r = _truncate_x(f, bound_x)
-    g = _truncate_x(g, bound_x)
+    x_cap = LinearCap((1,) * (nvars - 1) + (0,), bound_x)  # total x-degree <= bound_x
+    # each step's quotient terms share one y-degree, lower than the last's
+    q_parts = []
+    r = f.truncate(x_cap)
+    g = g.truncate(x_cap)
     while r:
         dy = max(e[-1] for e in r.terms)
         if dy < d:
@@ -189,14 +194,9 @@ def poly_divide(f, g, bound_x):
         lead = SparsePoly(nvars, ring,
                           {e[:-1] + (e[-1] - d,): c for e, c in r.terms.items()
                            if e[-1] == dy})
-        q = q + lead
-        r = _truncate_x(r - lead * g, bound_x)
-    return q, r
-
-
-def _truncate_x(P, bound_x):
-    return SparsePoly(P.nvars, P.ring,
-                      {e: c for e, c in P.terms.items() if _x_degree(e) <= bound_x})
+        q_parts.append(lead)
+        r = r - lead.mul(g, x_cap)
+    return _join(q_parts, nvars, ring), r
 
 
 def weight_to_x_bound(ws, bound):

@@ -225,5 +225,4 @@ def test_one_polyhedron_per_request(monkeypatch, capsys):
                   "--split", "x3+x1*x2,x1*x2"]) == 1
     assert count(["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3", "--edge", "1"]) == 1
     assert count(["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"]) == 1
-    # the witness builds once more inside reducibility_witness
-    assert count(["factor", EXAMPLE1, "--bound", "12"]) == 2
+    assert count(["factor", EXAMPLE1, "--bound", "12"]) == 1

@@ -97,6 +97,63 @@ def test_parse_render_round_trip(ring):
         assert parse(render(f, vt), vt, ring) == f
 
 
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(5, 3)], ids=str)
+def test_parse_matches_polynomial_arithmetic(ring):
+    def const(q):
+        return SparsePoly.constant(3, ring, ring.from_fraction(q))
+
+    x, y, z = (SparsePoly.monomial(3, ring, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    one = const(1)
+    cases = {
+        "x + y - x": x + y - x,
+        "x - x": SparsePoly.zero(3, ring),
+        "x - x + x": x,
+        "x*y + y*x": x * y + y * x,
+        "(-2)^3*x": const(-8) * x,
+        "-2^3*x": const(-8) * x,
+        "2^0": one,
+        "x^0": one,
+        "0^0": one,
+        "0^3": SparsePoly.zero(3, ring),
+        "(x+1)^3": (x + one) * (x + one) * (x + one),
+        "(2*x*y^2)^3": const(8) * x.pow(3) * y.pow(6),
+        "1/2*x - 3/4*y + 1/4*x - 2/3": const(Fraction(3, 4)) * x - const(Fraction(3, 4)) * y
+                                        - const(Fraction(2, 3)),
+        "(1/2)^2*z": const(Fraction(1, 4)) * z,
+    }
+    for text, expected in cases.items():
+        assert parse(text, XYZ, ring) == expected, text
+
+
+def test_parse_huge_exponent_of_a_constant_mod_p():
+    f101 = prime_field(101)
+    assert parse("3^1000000000", VarTable(("x",)), f101) == SparsePoly.constant(
+        1, f101, pow(3, 10**9, 101))
+    assert parse("(3*x)^1000000000", VarTable(("x",)), f101) == SparsePoly.monomial(
+        1, f101, (10**9,), pow(3, 10**9, 101))
+
+
+def test_parse_work_is_linear_in_the_term_count(monkeypatch):
+    # Counts, not time: how many polynomials parsing builds and how many
+    # terms they hold in all.  A sum rebuilt at every sign holds ~n^2/2.
+    built = []
+    init = SparsePoly.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.terms))
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting)
+
+    n = 400
+    text = " + ".join(f"{i + 2}*x^{i % 7 + 2}*y^{i // 7 % 7 + 2}*z^{i // 49 + 2}"
+                      for i in range(n))
+    assert len(parse(text, XYZ, Q)) == n
+    # each term is 4 atoms, 3 powers and 3 products
+    assert len(built) <= 12 * n
+    assert sum(built) <= 12 * n
+
+
 def test_render_injective_on_sample():
     rng = random.Random(99)
     seen = {}

@@ -165,6 +165,131 @@ def test_poly_divide_identity_and_random():
         assert all(sum(e[:-1]) > n for e in diff.terms)
 
 
+# The Weierstrass tail as first written: every product formed in full and
+# truncated afterwards.  Kept as the reference the truncated products must
+# reproduce exactly.
+
+def _reference_x_parts(f):
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(sum(e[:-1]), {})[e] = c
+    return {m: SparsePoly(f.nvars, f.ring, terms) for m, terms in buckets.items()}
+
+
+def _reference_y_split(P, d):
+    low, high = {}, {}
+    for e, c in P.terms.items():
+        if e[-1] < d:
+            low[e] = c
+        else:
+            high[e[:-1] + (e[-1] - d,)] = c
+    return SparsePoly(P.nvars, P.ring, low), SparsePoly(P.nvars, P.ring, high)
+
+
+def _reference_inverse_mod_y(v, d, nvars, ring):
+    out = SparsePoly.constant(nvars, ring, ring.invert(v.coeff((0,) * nvars)))
+    one = SparsePoly.constant(nvars, ring, ring.one())
+    for _ in range(d):
+        err = one - v * out
+        if not err:
+            break
+        err = SparsePoly(nvars, ring, {e: c for e, c in err.terms.items() if e[-1] < d})
+        out = SparsePoly(nvars, ring,
+                         {e: c for e, c in (out + out * err).terms.items() if e[-1] < d})
+    return out
+
+
+def _reference_normalize(gbar, d, bound_x):
+    ring, nvars = gbar.ring, gbar.nvars
+    parts = _reference_x_parts(gbar)
+    v = SparsePoly(nvars, ring, {e[:-1] + (e[-1] - d,): c for e, c in parts[0].terms.items()})
+    v_inv = _reference_inverse_mod_y(v, d, nvars, ring)
+    g_parts = {0: SparsePoly.monomial(nvars, ring, (0,) * (nvars - 1) + (d,))}
+    u_parts = {0: v}
+    for m in range(1, bound_x + 1):
+        acc = parts.get(m, SparsePoly.zero(nvars, ring))
+        for i in range(1, m):
+            if i in u_parts and (m - i) in g_parts:
+                acc = acc - u_parts[i] * g_parts[m - i]
+        g_m = SparsePoly(nvars, ring,
+                         {e: c for e, c in (v_inv * acc).terms.items() if e[-1] < d})
+        u_m_low, u_m = _reference_y_split(acc - v * g_m, d)
+        assert not u_m_low
+        if g_m:
+            g_parts[m] = g_m
+        if u_m:
+            u_parts[m] = u_m
+    g = SparsePoly.zero(nvars, ring)
+    for part in g_parts.values():
+        g = g + part
+    u = SparsePoly.zero(nvars, ring)
+    for part in u_parts.values():
+        u = u + part
+    return u, g
+
+
+def _reference_truncate_x(P, bound_x):
+    return SparsePoly(P.nvars, P.ring,
+                      {e: c for e, c in P.terms.items() if sum(e[:-1]) <= bound_x})
+
+
+def _reference_divide(f, g, bound_x):
+    ring, nvars = f.ring, f.nvars
+    d = max(e[-1] for e in g.terms)
+    q = SparsePoly.zero(nvars, ring)
+    r = _reference_truncate_x(f, bound_x)
+    g = _reference_truncate_x(g, bound_x)
+    while r:
+        dy = max(e[-1] for e in r.terms)
+        if dy < d:
+            break
+        lead = SparsePoly(nvars, ring, {e[:-1] + (e[-1] - d,): c for e, c in r.terms.items()
+                                        if e[-1] == dy})
+        q = q + lead
+        r = _reference_truncate_x(r - lead * g, bound_x)
+    return q, r
+
+
+def _random_tail_poly(rng, ring, nx, y_range, count):
+    """``count`` random terms with x-exponents 0-3 and y-degree in y_range."""
+    terms = {}
+    for _ in range(count):
+        e = tuple(rng.randint(0, 3) for _ in range(nx)) + (rng.randint(*y_range),)
+        terms[e] = ring.from_fraction(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))))
+    return terms
+
+
+def test_weierstrass_tail_matches_untruncated_reference():
+    rng = random.Random(20261019)
+    rings = (Q, prime_field(101), residue_ring(5, 4))
+    checked = 0
+    for trial in range(240):
+        ring = rings[trial % 3]
+        nx = rng.randint(1, 3)
+        nvars = nx + 1
+        d = rng.randint(1, 4)
+        top = d + rng.randint(0, 3)
+        bound_x = rng.randint(0, 8)
+        # gbar: monic of y-degree top, its x-free part y^d times a unit at y = 0
+        terms = {e: c for e, c in _random_tail_poly(rng, ring, nx, (0, top - 1), 8).items()
+                 if any(e[:-1])}
+        for j in range(d + 1, top):
+            terms[(0,) * nx + (j,)] = ring.from_int(rng.randint(-4, 4))
+        terms[(0,) * nx + (d,)] = ring.from_int(rng.choice((1, 2, 3, 4)))
+        terms[(0,) * nx + (top,)] = ring.one()
+        gbar = SparsePoly(nvars, ring, terms)
+        u, g = weierstrass_normalize(gbar, d, bound_x)
+        assert (u, g) == _reference_normalize(gbar, d, bound_x)
+        # f: anything; divisor: g, or a random polynomial monic in y
+        f = SparsePoly(nvars, ring, _random_tail_poly(rng, ring, nx, (0, top + 3), 10))
+        divisor = g if trial % 2 else SparsePoly(nvars, ring, {
+            **_random_tail_poly(rng, ring, nx, (0, d - 1), 5), (0,) * nx + (d,): ring.one()})
+        if f:
+            assert poly_divide(f, divisor, bound_x) == _reference_divide(f, divisor, bound_x)
+            checked += 1
+    assert checked > 200
+
+
 def test_full_monic_pipeline_example3():
     wi = example3()
     edge = descendant_loose_edges(wi)[0]
