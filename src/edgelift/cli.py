@@ -159,8 +159,6 @@ def cmd_restrict(args):
 
 
 def _pick_edge(np, index):
-    if index is None:
-        index = 0
     if not np.edges:
         raise newton.NotAnEdge("the polyhedron has no compact edges")
     if not (0 <= index < len(np.edges)):
@@ -199,40 +197,44 @@ def _prime_power_report(power, vars_):
     }
 
 
-def _match_split_edge(f, loose, G, H):
-    """Pick the loose edge whose restriction equals G*H, else the first."""
-    product = G * H
-    for edge in loose:
-        try:
-            if lift.edge_restriction(f, edge).poly == product:
-                return edge
-        except lift.EmptyFace:
-            continue
-    return loose[0]
+def _edge_and_split(f, edges, split, monic_last=False):
+    """The edge to lift and its split.
+
+    Given a split, the edge of ``edges`` whose restriction equals G*H, else
+    the first.  Without one, the first edge with a coprime split together
+    with that split, or the first edge with its EdgePrimePower."""
+    if split is not None:
+        if len(edges) > 1:
+            product = split.G * split.H
+            for edge in edges:
+                try:
+                    if lift.edge_restriction(f, edge).poly == product:
+                        return edge, split
+                except lift.EmptyFace:
+                    continue
+        return edges[0], split
+    rest, chosen = lift._first_split(f, edges, monic_last)
+    return rest.edge, chosen
 
 
 def cmd_factor(args):
     ring, vars_, f = _setup(args)
-    if args.split is None and args.edge is None:
-        return _witness(f, vars_, args)
     np = newton.build(f)
     split = _parse_split(args, vars_, ring)
-    loose = [e for e in np.edges if e.loose]
     if args.edge is not None:
-        edge = _pick_edge(np, args.edge)
-    elif loose:
-        edge = _match_split_edge(f, loose, split.G, split.H)
+        edges = [_pick_edge(np, args.edge)]
+        if split is None and not edges[0].loose:
+            raise lift.NotLoose(f"edge {edges[0].a}-{edges[0].b} is not loose")
     else:
-        _emit({"verdict": "no_loose_edge"}, args)
-        return EXIT_INCONCLUSIVE
-    if split is None:
-        if not edge.loose:
-            raise lift.NotLoose(f"edge {edge.a}-{edge.b} is not loose")
-        _, split = lift._first_split(f, [edge])
-        if isinstance(split, lift.EdgePrimePower):
-            _emit(_prime_power_report(split, vars_), args)
+        edges = [e for e in np.edges if e.loose]
+        if not edges:
+            _emit({"verdict": "no_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
+    edge, split = _edge_and_split(f, edges, split)
     bound = WeightedBound(orthogonal_basis(edge.direction).xi0, args.bound)
+    if isinstance(split, lift.EdgePrimePower):
+        _emit(_prime_power_report(split, vars_), args)
+        return EXIT_INCONCLUSIVE
     try:
         g, h, cert = lift.lift_factorization(f, edge, split, bound)
     except lift.InvalidSplit as err:
@@ -242,50 +244,30 @@ def cmd_factor(args):
     return EXIT_OK
 
 
-def _witness(f, vars_, args):
-    """Automatic factor: the reducibility witness over the loose edges."""
-    np = newton.build(f)
-    loose = [e for e in np.edges if e.loose]
-    if not loose:
-        _emit({"verdict": "no_loose_edge"}, args)
-        return EXIT_INCONCLUSIVE
-    # the weights of the first loose edge, used on whichever edge is lifted
-    bound = WeightedBound(orthogonal_basis(loose[0].direction).xi0, args.bound)
-    result = lift.reducibility_witness(f, bound, np)
-    if isinstance(result, lift.ReducibleWithFactors):
-        _emit(_reducible_report(result.edge, result.g, result.h, result.certificate, vars_),
-              args)
-        return EXIT_OK
-    _emit(_prime_power_report(result, vars_), args)
-    return EXIT_INCONCLUSIVE
-
-
 def cmd_weierstrass(args):
     ring, vars_, f = _setup(args)
     wi = weier.WeierstrassInput(f)
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
-        edge = _pick_edge(newton.build(f), args.edge)
+        edges = [_pick_edge(newton.build(f), args.edge)]
     else:
-        candidates = weier.descendant_loose_edges(wi)
-        if not candidates:
+        edges = weier.descendant_loose_edges(wi)
+        if not edges:
             _emit({"verdict": "no_descendant_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
-        edge = (_match_split_edge(f, candidates, split.G, split.H)
-                if split is not None else candidates[0])
+    # without a split only the first descendant edge is tried
+    edge, split = _edge_and_split(f, edges if split is not None else edges[:1], split,
+                                  monic_last=True)
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, args.bound)
-    if split is None:
-        _, chosen = lift._first_split(f, [edge], monic_last=True)
-        if isinstance(chosen, lift.EdgePrimePower):
-            _emit({
-                "verdict": "no_coprime_split",
-                "edge": edge.to_dict(),
-                "factor": expr.render(chosen.factor, vars_),
-                "power": chosen.power,
-            }, args)
-            return EXIT_INCONCLUSIVE
-        split = chosen
+    if isinstance(split, lift.EdgePrimePower):
+        _emit({
+            "verdict": "no_coprime_split",
+            "edge": edge.to_dict(),
+            "factor": expr.render(split.factor, vars_),
+            "power": split.power,
+        }, args)
+        return EXIT_INCONCLUSIVE
     try:
         gbar, hbar, cert = weier.lift_monic(wi, edge, split, bound)
     except lift.InvalidSplit as err:

@@ -177,15 +177,6 @@ class RingDescriptor:
             return a % self.p
         return a
 
-    def lift_residue(self, a):
-        """Canonical representative of a residue-field scalar back in this ring.
-
-        For Z/p^k the representative of a mod p is the integer a in [0, p).
-        """
-        if self.kind == RESIDUE_RING:
-            return a % self.p
-        return a
-
 
 def rationals():
     return RingDescriptor(RATIONALS)

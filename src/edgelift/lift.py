@@ -85,8 +85,10 @@ class EdgeRestriction:
 
 @dataclass(frozen=True)
 class EdgePrimePower:
-    """Certificate that the restriction of f to ``edge`` is unit * F^power,
-    with F irreducible whenever the content is trivial."""
+    """Certificate that the restriction of f to ``edge`` is unit * F^power.
+
+    The restriction's monomial content is always trivial (a nontrivial one
+    gives a coprime split), so F is irreducible."""
 
     edge: newton.Edge
     factor: SparsePoly
@@ -379,7 +381,7 @@ def _to_residue_poly(f):
 def _lift_from_residue(P, ring):
     if P.ring == ring:
         return P
-    return P.map_coefficients(ring, ring.lift_residue)
+    return SparsePoly(P.nvars, ring, P.terms)
 
 
 def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residue,
@@ -519,21 +521,12 @@ def _split_from_restriction(rest, monic_last=False):
         G = poly.mul_monomial(exp_neg(content))
         H = SparsePoly.monomial(nvars, ring, content)
     else:
-        power = _prime_power(rest, *classes[0])
-        assert power is not None
-        return power
+        return _prime_power(rest, *classes[0])
 
     if monic_last:
         G, H = _normalize_monic_last(G, H)
     assert G * H == poly
     return SplitRequest(G, H)
-
-
-def _normalize_min_term(F):
-    """Scale so the coefficient at the degree-lex smallest support point is 1."""
-    ring = F.ring
-    pt = F.support()[0]
-    return F.scale(ring.invert(F.terms[pt]))
 
 
 def _top_in_last(G):
@@ -561,22 +554,16 @@ def _normalize_monic_last(G, H):
 
 def _prime_power(rest, base, mult):
     """The EdgePrimePower certificate rest.poly = unit * F^mult, where F is the
-    edge polynomial of the univariate class ``base`` times the mult-th root
-    of the content; None when the content has no such root or the power
-    misses the restriction."""
+    edge polynomial of the univariate class ``base``, scaled to 1 at its
+    degree-lex smallest term.  The restriction must have trivial content."""
     poly = rest.poly
     ring = poly.ring
-    content = _content(poly)
-    if any(c % mult for c in content):
-        return None
-    root = tuple(c // mult for c in content)
     F = edge_poly_from_univariate(ring, poly.nvars, rest.edge.direction, base)
-    F = _normalize_min_term(F.mul_monomial(root))
+    F = F.scale(ring.invert(F.terms[F.support()[0]]))
     power = F.pow(mult)
     pt = power.support()[0]
     unit_scalar = ring.div(poly.terms[pt], power.terms[pt])
-    if power.scale(unit_scalar) != poly:
-        return None
+    assert power.scale(unit_scalar) == poly
     return EdgePrimePower(rest.edge, F, mult, unit_scalar)
 
 
@@ -593,19 +580,18 @@ class NoLooseEdge:
     pass
 
 
-def reducibility_witness(f, bound, polyhedron=None):
+def reducibility_witness(f, bound):
     """Decide reducibility through the loose edges of Delta(f).
 
     For each loose edge: with at least three vertices (equivalently, a
     nontrivial content on the edge) the canonical split pulls the content
     monomial out; otherwise the edge univariate is factored and any coprime
     grouping is lifted.  When no edge offers a coprime split the first
-    prime-power certificate is reported.  ``polyhedron`` is Delta(f) when
-    the caller has already built it.
+    prime-power certificate is reported.
     """
     if not f:
         raise LiftError("cannot analyze the zero polynomial")
-    np = polyhedron if polyhedron is not None else newton.build(f)
+    np = newton.build(f)
     loose = [e for e in np.edges if e.loose]
     if not loose:
         return NoLooseEdge()

@@ -4,7 +4,7 @@ Dense polynomials are coefficient lists in ascending order with no trailing
 zeros.  Over a prime field the route is squarefree decomposition, then
 distinct-degree splitting, then randomized equal-degree splitting (with the
 trace construction in characteristic two).  Over the rationals: content
-removal, Yun's squarefree decomposition, factorization modulo a good prime,
+removal, the same squarefree decomposition, factorization modulo a good prime,
 quadratic Hensel lifting of the factor tree, and exhaustive subset
 recombination.  Desk scale only; degrees beyond the caps are rejected.
 """
@@ -156,14 +156,18 @@ def _pth_root(f, ring):
     return trim([f[i] for i in range(0, len(f), p)], ring)
 
 
-def _squarefree_fp(f, ring):
-    """Squarefree decomposition of a monic polynomial over F_p."""
+def _squarefree(f, ring):
+    """Squarefree decomposition of a monic polynomial over F_p or Q.
+
+    In characteristic zero the derivative of a nonconstant polynomial is
+    nonzero and the loop leaves c constant, so the p-th-root branches are
+    for F_p only."""
     out = []
     if degree(f) < 1:
         return out
     df = pderiv(f, ring)
     if not df:
-        return [(g, m * ring.p) for g, m in _squarefree_fp(_pth_root(f, ring), ring)]
+        return [(g, m * ring.p) for g, m in _squarefree(_pth_root(f, ring), ring)]
     c = pgcd(f, df, ring)
     w = pdivmod(f, c, ring)[0]
     i = 1
@@ -176,7 +180,7 @@ def _squarefree_fp(f, ring):
         c = pdivmod(c, y, ring)[0]
         i += 1
     if degree(c) > 0:
-        out.extend((g, m * ring.p) for g, m in _squarefree_fp(_pth_root(c, ring), ring))
+        out.extend((g, m * ring.p) for g, m in _squarefree(_pth_root(c, ring), ring))
     return out
 
 
@@ -233,7 +237,7 @@ def _factor_fp(f, ring, rng):
     unit = f[-1]
     f = monic(f, ring)
     factors = []
-    for part, mult in _squarefree_fp(f, ring):
+    for part, mult in _squarefree(f, ring):
         for prod, d in _distinct_degree(part, ring):
             for irr in _equal_degree(prod, d, ring, rng):
                 factors.append((irr, mult))
@@ -262,28 +266,6 @@ def _fractions_to_primitive(cs):
     ints = [int(c * den) for c in cs]
     prim, removed = _primitive(ints)
     return prim, Fraction(removed, den)
-
-
-def _yun_squarefree(f, ring):
-    """Yun's algorithm in characteristic zero; parts come back primitive."""
-    df = pderiv(f, ring)
-    g = pgcd(f, df, ring)
-    if degree(g) == 0:
-        return [(f, 1)]
-    out = []
-    b = pdivmod(f, g, ring)[0]
-    c = pdivmod(df, g, ring)[0]
-    d = psub(c, pderiv(b, ring), ring)
-    i = 1
-    while degree(b) > 0:
-        a = pgcd(b, d, ring)
-        if degree(a) > 0:
-            out.append((a, i))
-        b = pdivmod(b, a, ring)[0]
-        c = pdivmod(d, a, ring)[0]
-        d = psub(c, pderiv(b, ring), ring)
-        i += 1
-    return out
 
 
 def _hensel_step(f, g, h, s, t, ring):
@@ -417,7 +399,7 @@ def _zassenhaus(f, rng):
 def _factor_rationals(cs, rng):
     prim, _ = _fractions_to_primitive(cs)
     factors = []
-    for part, mult in _yun_squarefree([Fraction(c) for c in prim], _Q):
+    for part, mult in _squarefree(monic([Fraction(c) for c in prim], _Q), _Q):
         part_int, _ = _fractions_to_primitive(part)
         for irr in _zassenhaus(part_int, rng):
             factors.append(([Fraction(c) for c in irr], mult))

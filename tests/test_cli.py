@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from edgelift import newton
+from edgelift import VarTable, lift, newton, parse, rationals
 from edgelift.cli import main
+from edgelift.grading import orthogonal_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -188,7 +189,7 @@ def test_text_format(capsys):
     assert "polygonal: True" in out
 
 
-def test_seed_determinism(capsys):
+def test_factor_output_repeats(capsys):
     main(["factor", EXAMPLE1, "--bound", "40"])
     first = capsys.readouterr().out
     main(["factor", EXAMPLE1, "--bound", "40"])
@@ -226,3 +227,28 @@ def test_one_polyhedron_per_request(monkeypatch, capsys):
     assert count(["factor", DIVISIBILITY_F, "--vars", "x1,x2,x3", "--edge", "1"]) == 1
     assert count(["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"]) == 1
     assert count(["factor", EXAMPLE1, "--bound", "12"]) == 1
+
+
+def test_automatic_factor_bounds_with_the_lifted_edge(monkeypatch, capsys):
+    # EXAMPLE2's three loose edges have pairwise different xi0 weights; the
+    # split is forced onto the last of them, so the bound must use its weights
+    f = parse(EXAMPLE2, VarTable(("x", "y", "z")), rationals())
+    loose = [e for e in newton.build(f).edges if e.loose]
+    assert len({orthogonal_basis(e.direction).xi0 for e in loose}) == 3
+    first_split = lift._first_split
+    monkeypatch.setattr(lift, "_first_split",
+                        lambda poly, edges, monic_last=False:
+                        first_split(poly, edges[-1:], monic_last))
+    lifted = []
+    lift_factorization = lift.lift_factorization
+
+    def recording(f, edge, split, bound):
+        lifted.append((edge, bound))
+        return lift_factorization(f, edge, split, bound)
+
+    monkeypatch.setattr(lift, "lift_factorization", recording)
+    code, report = run(capsys, ["factor", EXAMPLE2, "--bound", "12"])
+    assert code == 0 and report["verdict"] == "reducible"
+    [(edge, bound)] = lifted
+    assert edge == loose[-1]
+    assert bound.weights == orthogonal_basis(edge.direction).xi0

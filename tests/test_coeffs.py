@@ -78,7 +78,6 @@ def test_residue_field_bridge():
     k = z.residue_field()
     assert k == prime_field(3)
     assert z.to_residue(80) == 80 % 3
-    assert z.lift_residue(2) == 2
     assert rationals().residue_field() == rationals()
 
 

@@ -97,8 +97,9 @@ def test_q_random_round_trip():
         parts = []
         for _ in range(rng.randint(1, 3)):
             deg = rng.randint(1, 3)
-            parts.append([Fraction(rng.randint(-4, 4)) for _ in range(deg)]
-                         + [Fraction(rng.randint(1, 4))])
+            part = ([Fraction(rng.randint(-4, 4)) for _ in range(deg)]
+                    + [Fraction(rng.randint(1, 4))])
+            parts.append(ppow(part, rng.randint(1, 3), Q))
         f = [Fraction(rng.randint(1, 5))]
         for part in parts:
             f = pmul(f, part, Q)
@@ -106,6 +107,7 @@ def test_q_random_round_trip():
         assert expand(unit, factors, Q) == f
         for coeffs, _ in factors:
             assert coeffs[-1] > 0  # positive leading coefficient normalization
+        assert len({tuple(coeffs) for coeffs, _ in factors}) == len(factors)
 
 
 def test_factor_list_deterministic_across_seeds():
