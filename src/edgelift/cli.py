@@ -217,13 +217,19 @@ def _edge_and_split(f, edges, split, monic_last=False):
     return rest.edge, chosen
 
 
+def _check_bound(args):
+    if args.bound < 0:
+        raise ValueError("truncation bound must be nonnegative")
+
+
 def cmd_factor(args):
+    _check_bound(args)
     ring, vars_, f = _setup(args)
     np = newton.build(f)
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
         edges = [_pick_edge(np, args.edge)]
-        if split is None and not edges[0].loose:
+        if not edges[0].loose:
             raise lift.NotLoose(f"edge {edges[0].a}-{edges[0].b} is not loose")
     else:
         edges = [e for e in np.edges if e.loose]
@@ -231,12 +237,11 @@ def cmd_factor(args):
             _emit({"verdict": "no_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
     edge, split = _edge_and_split(f, edges, split)
-    bound = WeightedBound(orthogonal_basis(edge.direction).xi0, args.bound)
     if isinstance(split, lift.EdgePrimePower):
         _emit(_prime_power_report(split, vars_), args)
         return EXIT_INCONCLUSIVE
     try:
-        g, h, cert = lift.lift_factorization(f, edge, split, bound)
+        g, h, cert = lift.lift_factorization(f, edge, split, args.bound)
     except lift.InvalidSplit as err:
         _emit({"verdict": "invalid_split", "reason": err.reason}, args)
         return EXIT_INCONCLUSIVE
@@ -245,11 +250,13 @@ def cmd_factor(args):
 
 
 def cmd_weierstrass(args):
+    _check_bound(args)
     ring, vars_, f = _setup(args)
     wi = weier.WeierstrassInput(f)
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
         edges = [_pick_edge(newton.build(f), args.edge)]
+        weier._require_descendant(edges[0])
     else:
         edges = weier.descendant_loose_edges(wi)
         if not edges:
@@ -258,8 +265,6 @@ def cmd_weierstrass(args):
     # without a split only the first descendant edge is tried
     edge, split = _edge_and_split(f, edges if split is not None else edges[:1], split,
                                   monic_last=True)
-    ws = orthogonal_basis(edge.direction)
-    bound = WeightedBound(ws.xi0, args.bound)
     if isinstance(split, lift.EdgePrimePower):
         _emit({
             "verdict": "no_coprime_split",
@@ -269,10 +274,12 @@ def cmd_weierstrass(args):
         }, args)
         return EXIT_INCONCLUSIVE
     try:
-        gbar, hbar, cert = weier.lift_monic(wi, edge, split, bound)
+        gbar, hbar, cert = weier.lift_monic(wi, edge, split, args.bound)
     except lift.InvalidSplit as err:
         _emit({"verdict": "invalid_split", "reason": err.reason}, args)
         return EXIT_INCONCLUSIVE
+    ws = orthogonal_basis(edge.direction)
+    bound = WeightedBound(ws.xi0, args.bound)
     d = max(e[-1] for e in split.G.terms)
     bound_x = weier.weight_to_x_bound(ws, args.bound)
     unit, g = weier.weierstrass_normalize(gbar, d, bound_x)

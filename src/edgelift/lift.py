@@ -2,8 +2,8 @@
 
 Given a loose edge E of the Newton polyhedron of f and a factorization of the
 restriction f|_E into coprime parts G, H (with G not divisible by any
-variable), the residual-driven loop recovers g, h with f = g*h up to a chosen
-weighted truncation bound: at each step the minimal-weight part of the
+variable), the residual-driven loop recovers g, h with f = g*h up to a weight
+N in the edge's own weights: at each step the minimal-weight part of the
 residual f - g*h is split as G*h' + H*g' by one exact linear solve inside the
 graded pieces, and the factors are extended by h', g'.  The minimal residual
 weight strictly increases, so the loop terminates within the bound.
@@ -18,8 +18,8 @@ from . import newton
 from .coeffs import RESIDUE_RING
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
-from .poly import (SparsePoly, deglex_key, exp_add, exp_min, exp_neg, exp_sub,
-                   primitive_vector)
+from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_min, exp_neg,
+                   exp_sub, primitive_vector)
 from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
 # Unused here, but perfbench/tracing.py patches this name in this module;
 # without it its --trace 1 does not install.
@@ -384,12 +384,13 @@ def _lift_from_residue(P, ring):
     return SparsePoly(P.nvars, ring, P.terms)
 
 
-def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residue,
+def _run_lift(f, ws, G, H, N, view=_to_residue_poly, embed=_lift_from_residue,
               caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
-    The residual f - g*h, truncated at ``bound`` (None: not truncated), is
-    formed once and then updated by the two products each correction adds.
+    The residual f - g*h, truncated at weight ``N`` in the edge's own
+    weights ws.xi0 (None: not truncated), is formed once and then updated by
+    the two products each correction adds.
     ``view`` maps it to the graded residue-field polynomial the steps clear
     (mod p over Z/p^k, the identity over a field, the plane model for
     ``padic``), and ``embed(P, f.ring)`` carries a residue-field solution
@@ -402,7 +403,8 @@ def _run_lift(f, ws, G, H, bound, view=_to_residue_poly, embed=_lift_from_residu
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
     g, h = embed(G, ring), embed(H, ring)
-    cert = LiftCertificate(w, z, None if bound is None else bound.bound)
+    bound = None if N is None else WeightedBound(ws.xi0, N)
+    cert = LiftCertificate(w, z, N)
     previous = None
     systems = {}
     residual = (f - g.mul(h, bound)).truncate(bound)
@@ -452,8 +454,8 @@ def _validate_split(split, restriction):
         raise InvalidSplit(NOT_COPRIME, "G and H share a factor")
 
 
-def lift_factorization(f, edge, split, bound):
-    """Lift f|_E = G*H to f = g*h up to the weighted bound.
+def lift_factorization(f, edge, split, N):
+    """Lift f|_E = G*H to f = g*h up to weight N in the edge's weights xi0.
 
     Requires: the edge loose, G*H equal to the restriction, G not divisible
     by any variable, G and H coprime.  Returns (g, h, certificate).
@@ -466,7 +468,7 @@ def lift_factorization(f, edge, split, bound):
     _validate_split(split, rest.poly)
     if any(_content(split.G)):
         raise InvalidSplit(DIVISIBLE_BY_VARIABLE, "G is divisible by a variable")
-    return _run_lift(f, rest.ws, split.G, split.H, bound)
+    return _run_lift(f, rest.ws, split.G, split.H, N)
 
 
 # -- irreducibility-witness logic -------------------------------------------------
@@ -580,14 +582,14 @@ class NoLooseEdge:
     pass
 
 
-def reducibility_witness(f, bound):
+def reducibility_witness(f, N):
     """Decide reducibility through the loose edges of Delta(f).
 
-    For each loose edge: with at least three vertices (equivalently, a
-    nontrivial content on the edge) the canonical split pulls the content
-    monomial out; otherwise the edge univariate is factored and any coprime
-    grouping is lifted.  When no edge offers a coprime split the first
-    prime-power certificate is reported.
+    The loose edges are tried in order: when the restriction has a nontrivial
+    monomial content the canonical split pulls it out; otherwise the edge
+    univariate is factored and a coprime grouping is taken.  The first edge
+    with a split is lifted up to weight N in its own weights xi0.  When no
+    edge offers a coprime split the first prime-power certificate is reported.
     """
     if not f:
         raise LiftError("cannot analyze the zero polynomial")
@@ -598,5 +600,5 @@ def reducibility_witness(f, bound):
     rest, chosen = _first_split(f, loose)
     if isinstance(chosen, EdgePrimePower):
         return chosen
-    g, h, cert = lift_factorization(f, rest.edge, chosen, bound)
+    g, h, cert = lift_factorization(f, rest.edge, chosen, N)
     return ReducibleWithFactors(g, h, cert, rest.edge)

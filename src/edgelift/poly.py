@@ -51,8 +51,8 @@ def primitive_vector(v):
 
 
 @dataclass(frozen=True)
-class LinearCap:
-    """An integer weight vector plus a cap.
+class WeightedBound:
+    """An integer weight vector plus a cutoff N >= 0.
 
     A term with exponent alpha is kept when <weights, alpha> <= bound.  The
     weight is additive on exponents, which is all a truncated product needs;
@@ -64,25 +64,14 @@ class LinearCap:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
+        if self.bound < 0:
+            raise ValueError("truncation bound must be nonnegative")
 
     def weight_of(self, exponent):
         return exp_dot(self.weights, exponent)
 
     def admits(self, exponent):
         return self.weight_of(exponent) <= self.bound
-
-
-@dataclass(frozen=True)
-class WeightedBound(LinearCap):
-    """A strictly positive weight vector plus a cutoff N >= 0, so that only
-    finitely many exponents are kept: the truncation bound of a lift."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.weights or any(w <= 0 for w in self.weights):
-            raise ValueError("truncation weights must be strictly positive")
-        if self.bound < 0:
-            raise ValueError("truncation bound must be nonnegative")
 
 
 class SparsePoly:
@@ -189,7 +178,7 @@ class SparsePoly:
         return self.mul(other)
 
     def mul(self, other, trunc=None):
-        """Exact product; with ``trunc`` (a LinearCap) the terms above its cap
+        """Exact product; with ``trunc`` (a WeightedBound) the terms above its cap
         are never formed."""
         self._check_compatible(other)
         out = {}
@@ -238,7 +227,7 @@ class SparsePoly:
     # -- support manipulation -------------------------------------------------
 
     def truncate(self, trunc):
-        """Keep exactly the terms ``trunc`` (a LinearCap) admits; None keeps all."""
+        """Keep exactly the terms ``trunc`` (a WeightedBound) admits; None keeps all."""
         if trunc is None:
             return self
         return SparsePoly(self.nvars, self.ring,

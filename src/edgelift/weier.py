@@ -19,7 +19,7 @@ from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
 from .lift import (EdgePrimePower, LiftError, NotLoose, _first_split, _run_lift,
                    _top_in_last, _validate_split, edge_restriction)
-from .poly import LinearCap, SparsePoly, exp_add
+from .poly import SparsePoly, WeightedBound, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
@@ -60,20 +60,26 @@ def descendant_loose_edges(wi):
     return [e for e in np.edges if e.loose and e.descendant]
 
 
-def lift_monic(wi, edge, split, bound):
-    """The lifting loop under the monic hypothesis: the edge must be loose
-    and descendant and G monic in y; G need not avoid variable factors."""
-    f = wi.f
+def _require_descendant(edge):
+    """Raise NotLoose or NotDescendant unless the monic lift can use edge."""
     if not edge.loose:
         raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
     if not edge.descendant:
         raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
+
+
+def lift_monic(wi, edge, split, N):
+    """The lifting loop under the monic hypothesis, up to weight N in the
+    edge's weights xi0: the edge must be loose and descendant and G monic in
+    y; G need not avoid variable factors."""
+    f = wi.f
+    _require_descendant(edge)
     rest = edge_restriction(f, edge)
     _validate_split(split, rest.poly)
     d, top = _top_in_last(split.G)
     if top != split.G.ring.one():
         raise NotMonic("G must be monic in the last variable")
-    gbar, hbar, cert = _run_lift(f, rest.ws, split.G, split.H, bound)
+    gbar, hbar, cert = _run_lift(f, rest.ws, split.G, split.H, N)
     assert gbar.coeff((0,) * (f.nvars - 1) + (d,)) == f.ring.one()
     return gbar, hbar, cert
 
@@ -86,7 +92,7 @@ def _x_degree(e):
 
 def _y_below(nvars, d):
     """Cap that keeps y-degree < d."""
-    return LinearCap((0,) * (nvars - 1) + (1,), d - 1)
+    return WeightedBound((0,) * (nvars - 1) + (1,), d - 1)
 
 
 def _x_parts(f):
@@ -143,6 +149,10 @@ def weierstrass_normalize(gbar, d, bound_x):
     ymin = min(e[-1] for e in zero_part.terms)
     if ymin != d:
         raise NotPrepared(f"x-free part has y-order {ymin}, expected {d}")
+    if d == 0:
+        # g = 1 and u = gbar: no cap keeps only the y-degrees below 0
+        u = _join([part for m, part in parts.items() if m <= bound_x], nvars, ring)
+        return u, SparsePoly.constant(nvars, ring, ring.one())
     v = SparsePoly(nvars, ring,
                    {e[:-1] + (e[-1] - d,): c for e, c in zero_part.terms.items()})
     v_inv = _series_inverse_mod_y(v, d, nvars, ring)
@@ -182,7 +192,7 @@ def poly_divide(f, g, bound_x):
     d, top = _top_in_last(g)
     if top != ring.one():
         raise NotMonic("the divisor must be monic in the last variable")
-    x_cap = LinearCap((1,) * (nvars - 1) + (0,), bound_x)  # total x-degree <= bound_x
+    x_cap = WeightedBound((1,) * (nvars - 1) + (0,), bound_x)  # total x-degree <= bound_x
     # each step's quotient terms share one y-degree, lower than the last's
     q_parts = []
     r = f.truncate(x_cap)

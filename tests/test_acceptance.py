@@ -69,7 +69,7 @@ def test_criterion_1_example1(capsys):
 
     ws = rest.ws
     bound = WeightedBound(ws.xi0, 40)
-    verdict = reducibility_witness(f, bound)
+    verdict = reducibility_witness(f, bound.bound)
     assert isinstance(verdict, ReducibleWithFactors)
     residual = f - verdict.g * verdict.h
     assert residual.truncate(bound) == SparsePoly.zero(3, Q)
@@ -100,7 +100,7 @@ def test_criterion_2_example2(capsys):
 
     first = loose[0]
     bound = WeightedBound(orthogonal_basis(first.direction).xi0, 30)
-    verdict = reducibility_witness(f, bound)
+    verdict = reducibility_witness(f, bound.bound)
     assert isinstance(verdict, ReducibleWithFactors)
     residual = f - verdict.g * verdict.h
     min_weight = residual.min_weighted_degree(bound.weights)
@@ -132,8 +132,7 @@ def test_criterion_3_example3():
 
     results = {}
     for n in (30, 60):
-        bound = WeightedBound(ws.xi0, n)
-        gbar, hbar, _ = lift_monic(wi, edge, split, bound)
+        gbar, hbar, _ = lift_monic(wi, edge, split, n)
         results[n] = (gbar, hbar)
     gbar, hbar = results[60]
     bx = weight_to_x_bound(ws, 60)
@@ -207,13 +206,13 @@ def test_criterion_5_divisibility_fixture():
 
     bad = SplitRequest(parse("x2*(x3 + x1*x2)", X123, Q), parse("x1", X123, Q))
     try:
-        lift_factorization(f, edge, bad, bound)
+        lift_factorization(f, edge, bad, bound.bound)
         raise AssertionError("split should have been rejected")
     except InvalidSplit as err:
         assert err.reason == DIVISIBLE_BY_VARIABLE
 
     good = SplitRequest(parse("x3 + x1*x2", X123, Q), parse("x1*x2", X123, Q))
-    g, h, cert = lift_factorization(f, edge, good, bound)
+    g, h, cert = lift_factorization(f, edge, good, bound.bound)
     assert g == parse("x3 + x1*x2", X123, Q)
     assert h == parse("x3^2 + x1*x2", X123, Q)
     assert not (f - g * h)

@@ -231,24 +231,55 @@ def test_one_polyhedron_per_request(monkeypatch, capsys):
 
 def test_automatic_factor_bounds_with_the_lifted_edge(monkeypatch, capsys):
     # EXAMPLE2's three loose edges have pairwise different xi0 weights; the
-    # split is forced onto the last of them, so the bound must use its weights
-    f = parse(EXAMPLE2, VarTable(("x", "y", "z")), rationals())
+    # split is forced onto the last of them, so the reported g*h must clear
+    # the bound in that edge's weights
+    vt = VarTable(("x", "y", "z"))
+    f = parse(EXAMPLE2, vt, rationals())
     loose = [e for e in newton.build(f).edges if e.loose]
     assert len({orthogonal_basis(e.direction).xi0 for e in loose}) == 3
     first_split = lift._first_split
     monkeypatch.setattr(lift, "_first_split",
                         lambda poly, edges, monic_last=False:
                         first_split(poly, edges[-1:], monic_last))
-    lifted = []
-    lift_factorization = lift.lift_factorization
-
-    def recording(f, edge, split, bound):
-        lifted.append((edge, bound))
-        return lift_factorization(f, edge, split, bound)
-
-    monkeypatch.setattr(lift, "lift_factorization", recording)
     code, report = run(capsys, ["factor", EXAMPLE2, "--bound", "12"])
     assert code == 0 and report["verdict"] == "reducible"
-    [(edge, bound)] = lifted
-    assert edge == loose[-1]
-    assert bound.weights == orthogonal_basis(edge.direction).xi0
+    assert report["edge"] == loose[-1].to_dict()
+    g, h = (parse(report[k], vt, rationals()) for k in ("g", "h"))
+    residual = f - g * h
+    assert residual.min_weighted_degree(orthogonal_basis(loose[-1].direction).xi0) > 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["--vars", "x,y,z", "--edge", "0", "y*z^3 + x^3*z^3 + y*z"],
+    ["--edge", "0", "y^2 + x^3*z^2 + x^2*y^2*z^2"],
+])
+def test_weierstrass_edge_must_be_descendant(argv, capsys):
+    # both edges are loose but not descendant: no split is chosen for them
+    code = main(["weierstrass"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"].endswith("is not descendant")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "x + y + z"],                                     # no loose edge
+    ["factor", "x + y", "--vars", "x,y"],                        # prime power
+    ["factor", EXAMPLE1],                                        # lifts
+    ["factor", EXAMPLE1, "--edge", "0", "--split", "x^3*y - z^2,x^3*y + z^2"],
+    ["weierstrass", "y^2 + x^3 + z^3"],                          # no descendant edge
+    ["weierstrass", "y^2 - 2*x*y + x^2 + x^3", "--vars", "x,y"],  # prime power
+    ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y"],         # lifts
+])
+def test_negative_bound_exits_3_before_any_work(argv, capsys):
+    code = main(argv + ["--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "truncation bound must be nonnegative"}
+
+
+def test_weierstrass_split_with_a_degree_0_monic_part(capsys):
+    # G = 1 is monic of y-degree 0: the unit is f itself and g = 1
+    code, report = run(capsys, ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y",
+                                "--split", "1,y^2 - x^2"])
+    assert code == 0 and report["verdict"] == "factored"
+    assert (report["g"], report["h"], report["unit"]) == ("1", "y^2 - x^2 + x^3", "1")

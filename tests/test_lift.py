@@ -297,16 +297,11 @@ def divisibility_poly():
     return parse(DIVISIBILITY_F, X123, Q)
 
 
-def fixture_bound(n=30):
-    ws = orthogonal_basis((1, 1, -1))
-    return WeightedBound(ws.xi0, n)
-
-
 def test_lift_divisibility_fixture_exact():
     f = divisibility_poly()
     e = the_edge(f, (1, 1, 1), (2, 2, 0))
     split = SplitRequest(parse("x3 + x1*x2", X123, Q), parse("x1*x2", X123, Q))
-    g, h, cert = lift_factorization(f, e, split, fixture_bound())
+    g, h, cert = lift_factorization(f, e, split, 30)
     assert g == parse("x3 + x1*x2", X123, Q)
     assert h == parse("x3^2 + x1*x2", X123, Q)
     assert not (f - g * h)
@@ -318,7 +313,7 @@ def test_lift_rejects_variable_divisible_G():
     e = the_edge(f, (1, 1, 1), (2, 2, 0))
     split = SplitRequest(parse("x2*(x3 + x1*x2)", X123, Q), parse("x1", X123, Q))
     with pytest.raises(InvalidSplit) as err:
-        lift_factorization(f, e, split, fixture_bound())
+        lift_factorization(f, e, split, 30)
     assert err.value.reason == DIVISIBLE_BY_VARIABLE
 
 
@@ -327,8 +322,7 @@ def test_lift_rejects_bad_product():
     e = the_edge(f, (1, 1, 1), (2, 2, 0))
     with pytest.raises(InvalidSplit) as err:
         lift_factorization(f, e, SplitRequest(parse("x3", X123, Q),
-                                              parse("x1*x2", X123, Q)),
-                           fixture_bound())
+                                              parse("x1*x2", X123, Q)), 30)
     assert err.value.reason == "ProductMismatch"
 
 
@@ -337,9 +331,8 @@ def test_lift_rejects_non_coprime_split():
     f = parse("x^2 + 2*x*y + y^2 + x^3", vt, Q)
     e = the_edge(f, (0, 2), (2, 0))
     split = SplitRequest(parse("x + y", vt, Q), parse("x + y", vt, Q))
-    ws = orthogonal_basis(e.direction)
     with pytest.raises(InvalidSplit) as err:
-        lift_factorization(f, e, split, WeightedBound(ws.xi0, 12))
+        lift_factorization(f, e, split, 12)
     assert err.value.reason == "NotCoprime"
 
 
@@ -350,7 +343,7 @@ def test_lift_requires_loose_edge():
     K = Q
     split = SplitRequest(SparsePoly.constant(3, K, 1), SparsePoly.constant(3, K, 1))
     with pytest.raises(NotLoose):
-        lift_factorization(f, e, split, fixture_bound())
+        lift_factorization(f, e, split, 30)
 
 
 def test_lift_example1_to_bound():
@@ -359,7 +352,7 @@ def test_lift_example1_to_bound():
     ws = orthogonal_basis(e.direction)
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
     bound = WeightedBound(ws.xi0, 40)
-    g, h, cert = lift_factorization(f, e, split, bound)
+    g, h, cert = lift_factorization(f, e, split, bound.bound)
     resid = (f - g * h).truncate(bound)
     assert not resid
     # initial parts are preserved
@@ -375,8 +368,7 @@ def test_lift_faces_and_minkowski_sum():
     ws = orthogonal_basis(e.direction)
     rest = edge_restriction(f, e)
     split = SplitRequest(parse("z + x^2*y^2", XYZ, Q), parse("x*y", XYZ, Q))
-    bound = WeightedBound(ws.xi0, 30)
-    g, h, cert = lift_factorization(f, e, split, bound)
+    g, h, cert = lift_factorization(f, e, split, 30)
     e1 = face_of(build(g), ws.xi0)[0]
     e2 = face_of(build(h), ws.xi0)[0]
     assert restrict(g, e1) == split.G
@@ -398,7 +390,7 @@ def test_lift_prefix_stability():
         lifts = {}
         for N in (24, 40):
             bound = WeightedBound(ws.xi0, N)
-            g, h, _ = lift_factorization(f, e, split, bound)
+            g, h, _ = lift_factorization(f, e, split, N)
             residual = (f - g * h).truncate(bound)
             assert not residual.map_coefficients(K, ring.to_residue)
             lifts[N] = g, h
@@ -456,32 +448,49 @@ def test_reducibility_witness_example2():
     first_loose = [e for e in build(f).edges if e.loose][0]
     ws = orthogonal_basis(first_loose.direction)
     bound = WeightedBound(ws.xi0, 30)
-    verdict = reducibility_witness(f, bound)
+    verdict = reducibility_witness(f, bound.bound)
     assert isinstance(verdict, ReducibleWithFactors)
     assert (f - verdict.g * verdict.h).truncate(bound) == SparsePoly.zero(3, Q)
 
 
+def test_reducibility_witness_truncates_in_the_lifted_edge_weights(monkeypatch):
+    """Forced onto the last of EXAMPLE2's loose edges, the witness clears the
+    residual up to N in that edge's xi0, not in the first loose edge's."""
+    import edgelift.lift as lift
+
+    f = parse(EXAMPLE2, XYZ, Q)
+    loose = [e for e in build(f).edges if e.loose]
+    first_split = lift._first_split
+    monkeypatch.setattr(lift, "_first_split",
+                        lambda poly, edges, monic_last=False:
+                        first_split(poly, edges[-1:], monic_last))
+    verdict = reducibility_witness(f, 30)
+    assert isinstance(verdict, ReducibleWithFactors)
+    assert verdict.edge == loose[-1]
+    xi0 = orthogonal_basis(verdict.edge.direction).xi0
+    assert (f - verdict.g * verdict.h).min_weighted_degree(xi0) > 30
+    assert verdict.certificate.bound == 30
+
+
 def test_reducibility_witness_example1_two_vertices():
     f = parse(EXAMPLE1, XYZ, Q)
-    e = build(f).edges[0]
-    ws = orthogonal_basis(e.direction)
-    verdict = reducibility_witness(f, WeightedBound(ws.xi0, 40))
+    verdict = reducibility_witness(f, 40)
     assert isinstance(verdict, ReducibleWithFactors)
 
 
 def test_reducibility_witness_binomial():
     f = parse("x + y", VarTable(("x", "y")), Q)
-    verdict = reducibility_witness(f, WeightedBound((1, 1), 10))
+    verdict = reducibility_witness(f, 10)
     assert isinstance(verdict, EdgePrimePower)
     assert verdict.power == 1
 
 
 def test_reducibility_witness_no_loose_edge():
     f = parse("x^2*y^3", XYZ, Q)
-    verdict = reducibility_witness(f, WeightedBound((1, 1, 1), 10))
+    verdict = reducibility_witness(f, 10)
     assert isinstance(verdict, NoLooseEdge)
     g = parse("x + y + z", XYZ, Q)
-    verdict = reducibility_witness(g, WeightedBound((1, 1, 1), 10))
+    verdict = reducibility_witness(g, 10)
     assert isinstance(verdict, NoLooseEdge)
 
 
@@ -489,7 +498,7 @@ def test_reducibility_witness_two_vertex_content():
     # two vertices but a nontrivial content: x^2*y + x*y^2 = xy(x + y)
     vt = VarTable(("x", "y"))
     f = parse("x^2*y + x*y^2", vt, Q)
-    verdict = reducibility_witness(f, WeightedBound((1, 1), 12))
+    verdict = reducibility_witness(f, 12)
     assert isinstance(verdict, ReducibleWithFactors)
     assert not (f - verdict.g * verdict.h)
 
@@ -506,14 +515,14 @@ def test_lift_residue_ring_mod_p_semantics():
     e = build(f).edges[0]
     ws = orthogonal_basis(e.direction)
     bound = WeightedBound(ws.xi0, 12)
-    verdict = reducibility_witness(f, bound)
+    verdict = reducibility_witness(f, bound.bound)
     assert isinstance(verdict, ReducibleWithFactors)
     resid = f - verdict.g * verdict.h
     visible = resid.map_coefficients(prime_field(3), lambda c: c % 3)
     assert not visible.truncate(bound)
     # an exactly liftable input clears exactly
     g = parse("x^2 + 3*x*y + 2*y^2", vt, Z9)
-    verdict2 = reducibility_witness(g, bound)
+    verdict2 = reducibility_witness(g, bound.bound)
     assert isinstance(verdict2, ReducibleWithFactors)
     assert not (g - verdict2.g * verdict2.h)
 
@@ -568,9 +577,8 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
     f = parse(EXAMPLE1, XYZ, Q)
     e = build(f).edges[0]
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
-    bound = WeightedBound(orthogonal_basis(e.direction).xi0, 40)
     calls.update(solve_integer=0, slice=0)
-    _, _, cert = lift_factorization(f, e, split, bound)
+    _, _, cert = lift_factorization(f, e, split, 40)
     assert cert.steps
     assert calls == {"solve_integer": 0, "slice": 2 * len(cert.steps)}
 
@@ -603,7 +611,7 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
     bound = WeightedBound(orthogonal_basis(e.direction).xi0, 40)
     for _ in range(2):
         eliminations.clear()
-        g, h, cert = lift_factorization(f, e, split, bound)
+        g, h, cert = lift_factorization(f, e, split, bound.bound)
         assert not (f - g * h).truncate(bound)
         assert (len(eliminations), len(cert.steps)) == (2, 4)
 

@@ -60,6 +60,15 @@ def test_weighted_truncate_simple():
     assert f.truncate(WeightedBound((1,), 99)) == f
 
 
+def test_weighted_bound_with_zero_weights_and_a_negative_cutoff():
+    vt = VarTable(("x", "y"))
+    f = parse("1 + x + y + x*y^3 + x^2", vt, Q)
+    # weight 0 on y: the cap is on the degree in x alone
+    assert f.truncate(WeightedBound((1, 0), 1)) == parse("1 + x + y + x*y^3", vt, Q)
+    with pytest.raises(ValueError):
+        WeightedBound((1, 1), -1)
+
+
 def test_weighted_truncate_example_polynomial():
     f = parse("x^6*y^2 - z^4 + x*y*z^4 - x^7*y^5*z^2", XYZ, Q)
     # oracle: weights under (1,1,1) are 8, 4, 6 and 14
