@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze | restrict | factor | weierstrass | padic | verify.
+``factor`` and ``weierstrass`` pick the edge to lift and its split with
+lift._first_split, with or without --split; main() reports every
+InvalidSplit, whichever step raised it, as the stdout verdict
+``invalid_split``.  A negative --bound is an input error.
 Exit codes: 0 success/reducible, 1 verification failure, 2 hypothesis
 violation or inconclusive verdict, 3 input error.  JSON output renders all
 ring elements as exact strings; lattice data stays integral.
@@ -197,26 +201,6 @@ def _prime_power_report(power, vars_):
     }
 
 
-def _edge_and_split(f, edges, split, monic_last=False):
-    """The edge to lift and its split.
-
-    Given a split, the edge of ``edges`` whose restriction equals G*H, else
-    the first.  Without one, the first edge with a coprime split together
-    with that split, or the first edge with its EdgePrimePower."""
-    if split is not None:
-        if len(edges) > 1:
-            product = split.G * split.H
-            for edge in edges:
-                try:
-                    if lift.edge_restriction(f, edge).poly == product:
-                        return edge, split
-                except lift.EmptyFace:
-                    continue
-        return edges[0], split
-    rest, chosen = lift._first_split(f, edges, monic_last)
-    return rest.edge, chosen
-
-
 def _check_bound(args):
     if args.bound < 0:
         raise ValueError("truncation bound must be nonnegative")
@@ -229,23 +213,17 @@ def cmd_factor(args):
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
         edges = [_pick_edge(np, args.edge)]
-        if not edges[0].loose:
-            raise lift.NotLoose(f"edge {edges[0].a}-{edges[0].b} is not loose")
     else:
         edges = [e for e in np.edges if e.loose]
         if not edges:
             _emit({"verdict": "no_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
-    edge, split = _edge_and_split(f, edges, split)
+    rest, split = lift._first_split(f, edges, split)
     if isinstance(split, lift.EdgePrimePower):
         _emit(_prime_power_report(split, vars_), args)
         return EXIT_INCONCLUSIVE
-    try:
-        g, h, cert = lift.lift_factorization(f, edge, split, args.bound)
-    except lift.InvalidSplit as err:
-        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
-        return EXIT_INCONCLUSIVE
-    _emit(_reducible_report(edge, g, h, cert, vars_), args)
+    g, h, cert = lift.lift_factorization(f, rest.edge, split, args.bound)
+    _emit(_reducible_report(rest.edge, g, h, cert, vars_), args)
     return EXIT_OK
 
 
@@ -256,15 +234,15 @@ def cmd_weierstrass(args):
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
         edges = [_pick_edge(newton.build(f), args.edge)]
-        weier._require_descendant(edges[0])
     else:
         edges = weier.descendant_loose_edges(wi)
         if not edges:
             _emit({"verdict": "no_descendant_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
     # without a split only the first descendant edge is tried
-    edge, split = _edge_and_split(f, edges if split is not None else edges[:1], split,
-                                  monic_last=True)
+    rest, split = lift._first_split(f, edges if split is not None else edges[:1], split,
+                                    monic_last=True)
+    edge = rest.edge
     if isinstance(split, lift.EdgePrimePower):
         _emit({
             "verdict": "no_coprime_split",
@@ -273,15 +251,10 @@ def cmd_weierstrass(args):
             "power": split.power,
         }, args)
         return EXIT_INCONCLUSIVE
-    try:
-        gbar, hbar, cert = weier.lift_monic(wi, edge, split, args.bound)
-    except lift.InvalidSplit as err:
-        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
-        return EXIT_INCONCLUSIVE
-    ws = orthogonal_basis(edge.direction)
-    bound = WeightedBound(ws.xi0, args.bound)
+    gbar, hbar, cert = weier.lift_monic(wi, edge, split, args.bound)
+    bound = WeightedBound(rest.ws.xi0, args.bound)
     d = max(e[-1] for e in split.G.terms)
-    bound_x = weier.weight_to_x_bound(ws, args.bound)
+    bound_x = weier.weight_to_x_bound(rest.ws, args.bound)
     unit, g = weier.weierstrass_normalize(gbar, d, bound_x)
     h, remainder = weier.poly_divide(f, g, bound_x)
     residual = (f - g.mul(h, bound)).truncate(bound)
@@ -348,6 +321,7 @@ def _dense_to_poly(coeffs, ring):
 
 
 def cmd_verify(args):
+    _check_bound(args)
     ring, vars_, f = _setup(args)
     g = expr.parse(args.g_expr, vars_, ring)
     h = expr.parse(args.h_expr, vars_, ring)
@@ -374,6 +348,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except lift.InvalidSplit as err:
+        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
+        return EXIT_INCONCLUSIVE
     except (lift.LiftError, NoMixedSigns, UnsupportedRing, DegreeTooLarge) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INCONCLUSIVE

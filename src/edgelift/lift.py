@@ -42,6 +42,11 @@ class NotLoose(LiftError):
     """The chosen edge is not loose."""
 
 
+class NotDescendant(LiftError):
+    """The chosen edge has no orientation with nonnegative x-part and
+    negative y-part."""
+
+
 class Unsolvable(LiftError):
     """A cofactor system had no solution; the split hypotheses are violated."""
 
@@ -49,6 +54,7 @@ class Unsolvable(LiftError):
 NOT_COPRIME = "NotCoprime"
 DIVISIBLE_BY_VARIABLE = "DivisibleByVariable"
 PRODUCT_MISMATCH = "ProductMismatch"
+UNIT_PART = "UnitPart"
 
 
 class InvalidSplit(LiftError):
@@ -440,12 +446,26 @@ def _run_lift(f, ws, G, H, N, view=_to_residue_poly, embed=_lift_from_residue,
     return g, h, cert
 
 
-def _validate_split(split, restriction):
-    """The split checks shared by the plain and monic lifts: G and H nonzero
-    over the residue field, G*H equal to the edge restriction, and coprime."""
+def _require_edge(edge, descendant=False):
+    """Raise NotLoose, or with ``descendant`` NotDescendant, unless a lift
+    can use the edge."""
+    if not edge.loose:
+        raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
+    if descendant and not edge.descendant:
+        raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
+
+
+def _validate_split(split, restriction, unit_h=False):
+    """The split checks shared by the plain and monic lifts: G and H
+    nonzero over the residue field and nonconstant (``unit_h`` lets H be a
+    constant: the monic lift of the whole restriction is a Weierstrass
+    preparation), G*H equal to the edge restriction, and coprime."""
     G, H = split.G, split.H
     if not G or not H:
         raise InvalidSplit(PRODUCT_MISMATCH, "split parts must be nonzero")
+    constant = [(0,) * G.nvars]
+    if list(G.terms) == constant or (list(H.terms) == constant and not unit_h):
+        raise InvalidSplit(UNIT_PART, "split parts must not be constants")
     if G.ring != restriction.ring or H.ring != restriction.ring:
         raise InvalidSplit(PRODUCT_MISMATCH, "split must live over the residue field")
     if G * H != restriction:
@@ -462,8 +482,7 @@ def lift_factorization(f, edge, split, N):
     """
     if not f:
         raise LiftError("cannot factor the zero polynomial")
-    if not edge.loose:
-        raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
+    _require_edge(edge)
     rest = edge_restriction(f, edge)
     _validate_split(split, rest.poly)
     if any(_content(split.G)):
@@ -473,22 +492,37 @@ def lift_factorization(f, edge, split, N):
 
 # -- irreducibility-witness logic -------------------------------------------------
 
-def _first_split(f, edges, monic_last=False):
-    """The first of ``edges`` whose restriction of f has a coprime split.
+def _first_split(f, edges, split=None, monic_last=False):
+    """The one edge chooser: the edge of ``edges`` to lift, and its split.
 
-    Returns (restriction, SplitRequest) for the first such edge, or
-    (restriction, EdgePrimePower) for the first edge when none has one.
-    ``edges`` must be nonempty; ``monic_last`` is passed to
-    _split_from_restriction.
+    Every edge must be loose, and with ``monic_last`` descendant; edges
+    whose restriction of f vanishes in the residue field are skipped
+    (EmptyFace when all do).  Returns (restriction, split) for the first
+    edge whose restriction is G*H (InvalidSplit when none is), or without a
+    split (restriction, SplitRequest) for the first edge with a coprime
+    split, else (restriction, EdgePrimePower) for the first edge;
+    ``monic_last`` is passed to _split_from_restriction.
     """
+    for edge in edges:
+        _require_edge(edge, monic_last)
+    product = None if split is None else split.G * split.H
     first = None
     for edge in edges:
-        rest = edge_restriction(f, edge)
-        split = _split_from_restriction(rest, monic_last)
-        if isinstance(split, SplitRequest):
-            return rest, split
-        if first is None:
-            first = rest, split
+        try:
+            rest = edge_restriction(f, edge)
+        except EmptyFace:
+            continue
+        if split is None:
+            chosen = _split_from_restriction(rest, monic_last)
+        else:
+            chosen = split if rest.poly == product else None
+        if isinstance(chosen, SplitRequest):
+            return rest, chosen
+        first = first or (rest, chosen)
+    if first is None:
+        raise EmptyFace("edge restriction vanishes in the residue field")
+    if split is not None:
+        raise InvalidSplit(PRODUCT_MISMATCH, "G*H differs from every edge restriction")
     return first
 
 

@@ -17,19 +17,15 @@ from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .lift import (EdgePrimePower, LiftError, NotLoose, _first_split, _run_lift,
+from .lift import (EdgePrimePower, LiftError, _first_split, _require_edge, _run_lift,
                    _top_in_last, _validate_split, edge_restriction)
+from .lift import NotDescendant  # noqa: F401  (raised by the monic lift; re-exported)
 from .poly import SparsePoly, WeightedBound, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
 from .lift import solve_cofactor  # noqa: F401
 from .unifactor import pmul  # noqa: F401
-
-
-class NotDescendant(LiftError):
-    """The chosen edge has no orientation with nonnegative x-part and
-    negative y-part."""
 
 
 class NotMonic(LiftError):
@@ -60,22 +56,14 @@ def descendant_loose_edges(wi):
     return [e for e in np.edges if e.loose and e.descendant]
 
 
-def _require_descendant(edge):
-    """Raise NotLoose or NotDescendant unless the monic lift can use edge."""
-    if not edge.loose:
-        raise NotLoose(f"edge {edge.a}-{edge.b} is not loose")
-    if not edge.descendant:
-        raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
-
-
 def lift_monic(wi, edge, split, N):
     """The lifting loop under the monic hypothesis, up to weight N in the
     edge's weights xi0: the edge must be loose and descendant and G monic in
     y; G need not avoid variable factors."""
     f = wi.f
-    _require_descendant(edge)
+    _require_edge(edge, descendant=True)
     rest = edge_restriction(f, edge)
-    _validate_split(split, rest.poly)
+    _validate_split(split, rest.poly, unit_h=True)
     d, top = _top_in_last(split.G)
     if top != split.G.ring.one():
         raise NotMonic("G must be monic in the last variable")
@@ -132,7 +120,7 @@ def _series_inverse_mod_y(v, d, nvars, ring):
 
 
 def weierstrass_normalize(gbar, d, bound_x):
-    """Split gbar = u * g with g monic in y of degree d whose lower
+    """Split gbar = u * g with g monic in y of degree d >= 1 whose lower
     coefficients vanish at x = 0, and u a unit, order by order in total
     x-degree up to ``bound_x``.
 
@@ -140,6 +128,8 @@ def weierstrass_normalize(gbar, d, bound_x):
     v = gbar(0, y)/y^d, so g_m is (v^{-1} R_m) mod y^d and u_m the exact
     quotient of the rest by y^d.
     """
+    if d < 1:
+        raise ValueError("the monic part needs y-degree d >= 1")
     ring = gbar.ring
     nvars = gbar.nvars
     parts = _x_parts(gbar)
@@ -149,10 +139,6 @@ def weierstrass_normalize(gbar, d, bound_x):
     ymin = min(e[-1] for e in zero_part.terms)
     if ymin != d:
         raise NotPrepared(f"x-free part has y-order {ymin}, expected {d}")
-    if d == 0:
-        # g = 1 and u = gbar: no cap keeps only the y-degrees below 0
-        u = _join([part for m, part in parts.items() if m <= bound_x], nvars, ring)
-        return u, SparsePoly.constant(nvars, ring, ring.one())
     v = SparsePoly(nvars, ring,
                    {e[:-1] + (e[-1] - d,): c for e, c in zero_part.terms.items()})
     v_inv = _series_inverse_mod_y(v, d, nvars, ring)

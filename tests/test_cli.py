@@ -239,8 +239,8 @@ def test_automatic_factor_bounds_with_the_lifted_edge(monkeypatch, capsys):
     assert len({orthogonal_basis(e.direction).xi0 for e in loose}) == 3
     first_split = lift._first_split
     monkeypatch.setattr(lift, "_first_split",
-                        lambda poly, edges, monic_last=False:
-                        first_split(poly, edges[-1:], monic_last))
+                        lambda poly, edges, *args, **kwargs:
+                        first_split(poly, edges[-1:], *args, **kwargs))
     code, report = run(capsys, ["factor", EXAMPLE2, "--bound", "12"])
     assert code == 0 and report["verdict"] == "reducible"
     assert report["edge"] == loose[-1].to_dict()
@@ -269,6 +269,7 @@ def test_weierstrass_edge_must_be_descendant(argv, capsys):
     ["weierstrass", "y^2 + x^3 + z^3"],                          # no descendant edge
     ["weierstrass", "y^2 - 2*x*y + x^2 + x^3", "--vars", "x,y"],  # prime power
     ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y"],         # lifts
+    ["verify", "--vars", "x,y", "x^2 - y^2", "x - y", "x + y + 1"],
 ])
 def test_negative_bound_exits_3_before_any_work(argv, capsys):
     code = main(argv + ["--bound", "-1"])
@@ -278,8 +279,58 @@ def test_negative_bound_exits_3_before_any_work(argv, capsys):
 
 
 def test_weierstrass_split_with_a_degree_0_monic_part(capsys):
-    # G = 1 is monic of y-degree 0: the unit is f itself and g = 1
+    # G = 1 is monic of y-degree 0, but a constant part splits nothing
     code, report = run(capsys, ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y",
                                 "--split", "1,y^2 - x^2"])
-    assert code == 0 and report["verdict"] == "factored"
-    assert (report["g"], report["h"], report["unit"]) == ("1", "y^2 - x^2 + x^3", "1")
+    assert code == 2
+    assert report == {"verdict": "invalid_split", "reason": "UnitPart"}
+
+
+def test_automatic_factor_with_a_unit_part_is_an_invalid_split(capsys):
+    # mod 3 the restriction to the loose edge is the monomial y^3, whose
+    # canonical split is G = 1, H = y^3
+    code, report = run(capsys, ["factor", "--field", "Z/3^2", "--vars", "x,y",
+                                "3*x^4 + 3*x^2*y + y^3"])
+    assert code == 2
+    assert report == {"verdict": "invalid_split", "reason": "UnitPart"}
+
+
+@pytest.mark.parametrize("split", [None, "y+x,x^2"])
+def test_factor_skips_an_edge_that_vanishes_mod_p(split, capsys):
+    # over Z/3^2 the first loose edge's restriction 3*x*y^2 + 3*y^4 vanishes
+    # mod 3; both routes lift the next loose edge
+    argv = ["factor", "--field", "Z/3^2", "--vars", "x,y", "--bound", "8",
+            "x^3 + x^2*y + 3*x*y^2 + 3*y^4"]
+    code, report = run(capsys, argv + (["--split", split] if split else []))
+    assert code == 0 and report["verdict"] == "reducible"
+    assert (report["edge"]["a"], report["edge"]["b"]) == ([1, 2], [3, 0])
+
+
+def test_one_orthogonal_basis_per_edge_restriction(monkeypatch, capsys):
+    # no command builds an edge's weight system outside its restriction
+    from edgelift import cli, grading, weier
+
+    counts = {"basis": 0, "restriction": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (grading, lift, weier, cli):
+        if hasattr(module, "orthogonal_basis"):
+            monkeypatch.setattr(module, "orthogonal_basis",
+                                counting("basis", module.orthogonal_basis))
+    for module in (lift, weier):
+        monkeypatch.setattr(module, "edge_restriction",
+                            counting("restriction", module.edge_restriction))
+    for argv in (["factor", EXAMPLE1, "--bound", "12"],
+                 ["factor", EXAMPLE2, "--split", "z+x^2*y^2,x*y", "--bound", "10"],
+                 ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"],
+                 ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--split", "y-x,y+x"],
+                 ["padic", "-p", "2", "--prec", "16", F4]):
+        counts.update(basis=0, restriction=0)
+        main(argv)
+        capsys.readouterr()
+        assert counts["basis"] == counts["restriction"] > 0, argv

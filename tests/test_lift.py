@@ -462,8 +462,8 @@ def test_reducibility_witness_truncates_in_the_lifted_edge_weights(monkeypatch):
     loose = [e for e in build(f).edges if e.loose]
     first_split = lift._first_split
     monkeypatch.setattr(lift, "_first_split",
-                        lambda poly, edges, monic_last=False:
-                        first_split(poly, edges[-1:], monic_last))
+                        lambda poly, edges, *args, **kwargs:
+                        first_split(poly, edges[-1:], *args, **kwargs))
     verdict = reducibility_witness(f, 30)
     assert isinstance(verdict, ReducibleWithFactors)
     assert verdict.edge == loose[-1]

@@ -143,6 +143,12 @@ def test_weierstrass_normalize_rejects_unprepared():
         weierstrass_normalize(parse("y^2 + x", vt, Q), 1, 5)
 
 
+def test_weierstrass_normalize_needs_a_positive_degree():
+    vt = VarTable(("x", "y"))
+    with pytest.raises(ValueError, match="d >= 1"):
+        weierstrass_normalize(parse("1 + x", vt, Q), 0, 5)
+
+
 def test_poly_divide_identity_and_random():
     vt = VarTable(("x", "y"))
     rng = random.Random(11)
