@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: analyze | restrict | factor | weierstrass | padic | verify.
-``factor`` and ``weierstrass`` pick the edge to lift and its split with
-lift._first_split, with or without --split; main() reports every
-InvalidSplit, whichever step raised it, as the stdout verdict
-``invalid_split``.  A negative --bound is an input error.
+``factor`` and ``weierstrass`` lift the restriction that lift._first_split
+picks among the --edge, or else every loose (``factor``) or descendant loose
+(``weierstrass``) edge; main() reports every InvalidSplit, whichever step
+raised it, as the stdout verdict ``invalid_split``.  A negative --bound is
+an input error.
 Exit codes: 0 success/reducible, 1 verification failure, 2 hypothesis
 violation or inconclusive verdict, 3 input error.  JSON output renders all
 ring elements as exact strings; lattice data stays integral.
@@ -61,7 +62,7 @@ def build_parser():
 
     p = sub.add_parser("weierstrass", parents=[common],
                        help="monic pipeline in the last variable")
-    p.add_argument("--edge", type=int, help="edge index (default: first descendant)")
+    p.add_argument("--edge", type=int, help="edge index (default: automatic)")
     p.add_argument("--split", help="explicit split 'G,H' with G monic in the last variable")
     p.add_argument("--bound", type=int, default=32)
     p.set_defaults(handler=cmd_weierstrass)
@@ -222,7 +223,7 @@ def cmd_factor(args):
     if isinstance(split, lift.EdgePrimePower):
         _emit(_prime_power_report(split, vars_), args)
         return EXIT_INCONCLUSIVE
-    g, h, cert = lift.lift_factorization(f, rest.edge, split, args.bound)
+    g, h, cert = lift.lift_factorization(f, rest, split, args.bound)
     _emit(_reducible_report(rest.edge, g, h, cert, vars_), args)
     return EXIT_OK
 
@@ -239,9 +240,7 @@ def cmd_weierstrass(args):
         if not edges:
             _emit({"verdict": "no_descendant_loose_edge"}, args)
             return EXIT_INCONCLUSIVE
-    # without a split only the first descendant edge is tried
-    rest, split = lift._first_split(f, edges if split is not None else edges[:1], split,
-                                    monic_last=True)
+    rest, split = lift._first_split(f, edges, split, monic_last=True)
     edge = rest.edge
     if isinstance(split, lift.EdgePrimePower):
         _emit({
@@ -251,7 +250,7 @@ def cmd_weierstrass(args):
             "power": split.power,
         }, args)
         return EXIT_INCONCLUSIVE
-    gbar, hbar, cert = weier.lift_monic(wi, edge, split, args.bound)
+    gbar, hbar, cert = weier.lift_monic(wi, rest, split, args.bound)
     bound = WeightedBound(rest.ws.xi0, args.bound)
     d = max(e[-1] for e in split.G.terms)
     bound_x = weier.weight_to_x_bound(rest.ws, args.bound)

@@ -31,7 +31,7 @@ class LiftError(ValueError):
 
 
 class EmptyFace(LiftError):
-    """Restriction to an empty face, or one that vanishes mod p."""
+    """Restriction to an empty face, or one that is zero or one term mod p."""
 
 
 class NotEdgeHomogeneous(LiftError):
@@ -474,16 +474,16 @@ def _validate_split(split, restriction, unit_h=False):
         raise InvalidSplit(NOT_COPRIME, "G and H share a factor")
 
 
-def lift_factorization(f, edge, split, N):
-    """Lift f|_E = G*H to f = g*h up to weight N in the edge's weights xi0.
+def lift_factorization(f, rest, split, N):
+    """Lift f|_E = G*H to f = g*h up to weight N in rest.ws.xi0, where rest
+    is the EdgeRestriction of f to E (from _first_split or edge_restriction).
 
     Requires: the edge loose, G*H equal to the restriction, G not divisible
     by any variable, G and H coprime.  Returns (g, h, certificate).
     """
     if not f:
         raise LiftError("cannot factor the zero polynomial")
-    _require_edge(edge)
-    rest = edge_restriction(f, edge)
+    _require_edge(rest.edge)
     _validate_split(split, rest.poly)
     if any(_content(split.G)):
         raise InvalidSplit(DIVISIBLE_BY_VARIABLE, "G is divisible by a variable")
@@ -495,13 +495,13 @@ def lift_factorization(f, edge, split, N):
 def _first_split(f, edges, split=None, monic_last=False):
     """The one edge chooser: the edge of ``edges`` to lift, and its split.
 
-    Every edge must be loose, and with ``monic_last`` descendant; edges
-    whose restriction of f vanishes in the residue field are skipped
-    (EmptyFace when all do).  Returns (restriction, split) for the first
-    edge whose restriction is G*H (InvalidSplit when none is), or without a
-    split (restriction, SplitRequest) for the first edge with a coprime
-    split, else (restriction, EdgePrimePower) for the first edge;
-    ``monic_last`` is passed to _split_from_restriction.
+    Every edge must be loose, and with ``monic_last`` descendant; an edge
+    whose restriction of f is zero or one term mod p is not an edge of f
+    mod p and is skipped (EmptyFace when all are).  Returns (restriction,
+    split) for the first edge whose restriction is G*H (InvalidSplit when
+    none is), or without a split (restriction, SplitRequest) for the first
+    edge with a coprime split, else (restriction, EdgePrimePower) for the
+    first edge; ``monic_last`` is passed to _split_from_restriction.
     """
     for edge in edges:
         _require_edge(edge, monic_last)
@@ -512,6 +512,8 @@ def _first_split(f, edges, split=None, monic_last=False):
             rest = edge_restriction(f, edge)
         except EmptyFace:
             continue
+        if len(rest.poly) < 2:
+            continue
         if split is None:
             chosen = _split_from_restriction(rest, monic_last)
         else:
@@ -520,7 +522,7 @@ def _first_split(f, edges, split=None, monic_last=False):
             return rest, chosen
         first = first or (rest, chosen)
     if first is None:
-        raise EmptyFace("edge restriction vanishes in the residue field")
+        raise EmptyFace("edge restriction vanishes or is a single term in the residue field")
     if split is not None:
         raise InvalidSplit(PRODUCT_MISMATCH, "G*H differs from every edge restriction")
     return first
@@ -634,5 +636,5 @@ def reducibility_witness(f, N):
     rest, chosen = _first_split(f, loose)
     if isinstance(chosen, EdgePrimePower):
         return chosen
-    g, h, cert = lift_factorization(f, rest.edge, chosen, N)
+    g, h, cert = lift_factorization(f, rest, chosen, N)
     return ReducibleWithFactors(g, h, cert, rest.edge)

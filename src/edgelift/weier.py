@@ -18,13 +18,13 @@ from fractions import Fraction
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
 from .lift import (EdgePrimePower, LiftError, _first_split, _require_edge, _run_lift,
-                   _top_in_last, _validate_split, edge_restriction)
+                   _top_in_last, _validate_split)
 from .lift import NotDescendant  # noqa: F401  (raised by the monic lift; re-exported)
 from .poly import SparsePoly, WeightedBound, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
-from .lift import solve_cofactor  # noqa: F401
+from .lift import edge_restriction, solve_cofactor  # noqa: F401
 from .unifactor import pmul  # noqa: F401
 
 
@@ -56,13 +56,12 @@ def descendant_loose_edges(wi):
     return [e for e in np.edges if e.loose and e.descendant]
 
 
-def lift_monic(wi, edge, split, N):
-    """The lifting loop under the monic hypothesis, up to weight N in the
-    edge's weights xi0: the edge must be loose and descendant and G monic in
-    y; G need not avoid variable factors."""
+def lift_monic(wi, rest, split, N):
+    """The lifting loop under the monic hypothesis, up to weight N in
+    rest.ws.xi0 (rest as for lift_factorization): the edge must be loose and
+    descendant and G monic in y; G need not avoid variable factors."""
     f = wi.f
-    _require_edge(edge, descendant=True)
-    rest = edge_restriction(f, edge)
+    _require_edge(rest.edge, descendant=True)
     _validate_split(split, rest.poly, unit_h=True)
     d, top = _top_in_last(split.G)
     if top != split.G.ring.one():

@@ -5,7 +5,7 @@
 
 Runs the given command with each case's argv, compares stdout byte for byte
 with <name>.out and the exit code with the case's, and exits 1 when any
-case differs.
+case differs, when a case name repeats, or when a .out file has no case.
 """
 
 import json
@@ -18,6 +18,13 @@ GOLDEN = Path(__file__).parent
 
 def main(command):
     cases = json.loads((GOLDEN / "cases.json").read_text())
+    names = [case["name"] for case in cases]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    orphaned = sorted(path.stem for path in GOLDEN.glob("*.out") if path.stem not in names)
+    for name in repeated:
+        print(f"REPEATED case name {name}")
+    for name in orphaned:
+        print(f"ORPHANED {name}.out has no case")
     failed = 0
     for case in cases:
         run = subprocess.run(command + case["argv"], capture_output=True)
@@ -27,7 +34,7 @@ def main(command):
             print(f"FAIL {case['name']}: exit {run.returncode} (expected {case['exit']}), "
                   f"stdout {'matches' if run.stdout == expected else 'differs'}")
     print(f"{len(cases) - failed} of {len(cases)} golden cases match")
-    return 1 if failed else 0
+    return 1 if failed or repeated or orphaned else 0
 
 
 if __name__ == "__main__":

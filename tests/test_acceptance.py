@@ -132,7 +132,7 @@ def test_criterion_3_example3():
 
     results = {}
     for n in (30, 60):
-        gbar, hbar, _ = lift_monic(wi, edge, split, n)
+        gbar, hbar, _ = lift_monic(wi, rest, split, n)
         results[n] = (gbar, hbar)
     gbar, hbar = results[60]
     bx = weight_to_x_bound(ws, 60)
@@ -199,20 +199,21 @@ def test_criterion_5_divisibility_fixture():
     f = parse(DIVISIBILITY_F, X123, Q)
     np = build(f)
     edge = np.edge_between((1, 1, 1), (2, 2, 0))
-    ws = orthogonal_basis(edge.direction)
+    rest = edge_restriction(f, edge)
+    ws = rest.ws
     bound = WeightedBound(ws.xi0, 30)
 
     from edgelift.lift import DIVISIBLE_BY_VARIABLE, InvalidSplit
 
     bad = SplitRequest(parse("x2*(x3 + x1*x2)", X123, Q), parse("x1", X123, Q))
     try:
-        lift_factorization(f, edge, bad, bound.bound)
+        lift_factorization(f, rest, bad, bound.bound)
         raise AssertionError("split should have been rejected")
     except InvalidSplit as err:
         assert err.reason == DIVISIBLE_BY_VARIABLE
 
     good = SplitRequest(parse("x3 + x1*x2", X123, Q), parse("x1*x2", X123, Q))
-    g, h, cert = lift_factorization(f, edge, good, bound.bound)
+    g, h, cert = lift_factorization(f, rest, good, bound.bound)
     assert g == parse("x3 + x1*x2", X123, Q)
     assert h == parse("x3^2 + x1*x2", X123, Q)
     assert not (f - g * h)

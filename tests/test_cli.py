@@ -249,6 +249,23 @@ def test_automatic_factor_bounds_with_the_lifted_edge(monkeypatch, capsys):
     assert residual.min_weighted_degree(orthogonal_basis(loose[-1].direction).xi0) > 12
 
 
+def test_weierstrass_hands_the_chooser_every_descendant_loose_edge(monkeypatch, capsys):
+    # like factor's loose edges, every descendant loose edge is a candidate:
+    # here both (1,1)-(0,3) and (1,1)-(2,0)
+    tried = []
+    first_split = lift._first_split
+
+    def recording(poly, edges, *args, **kwargs):
+        tried.append(len(edges))
+        return first_split(poly, edges, *args, **kwargs)
+
+    monkeypatch.setattr(lift, "_first_split", recording)
+    code, report = run(capsys, ["weierstrass", "--vars", "x,y", "--field", "F2",
+                                "y^3 + x*y + x^2"])
+    assert code == 0 and report["verdict"] == "factored"
+    assert tried == [2]
+
+
 @pytest.mark.parametrize("argv", [
     ["--vars", "x,y,z", "--edge", "0", "y*z^3 + x^3*z^3 + y*z"],
     ["--edge", "0", "y^2 + x^3*z^2 + x^2*y^2*z^2"],
@@ -286,13 +303,20 @@ def test_weierstrass_split_with_a_degree_0_monic_part(capsys):
     assert report == {"verdict": "invalid_split", "reason": "UnitPart"}
 
 
-def test_automatic_factor_with_a_unit_part_is_an_invalid_split(capsys):
-    # mod 3 the restriction to the loose edge is the monomial y^3, whose
-    # canonical split is G = 1, H = y^3
-    code, report = run(capsys, ["factor", "--field", "Z/3^2", "--vars", "x,y",
-                                "3*x^4 + 3*x^2*y + y^3"])
-    assert code == 2
-    assert report == {"verdict": "invalid_split", "reason": "UnitPart"}
+@pytest.mark.parametrize("argv", [
+    ["factor"],
+    ["weierstrass"],
+    ["weierstrass", "--split", "y^3,1"],
+], ids=["factor", "weierstrass", "weierstrass_split"])
+def test_a_single_term_restriction_mod_p_is_skipped(argv, capsys):
+    # mod 3 the restriction to the edge (0,3)-(2,1) is the monomial y^3 and
+    # the one to (2,1)-(4,0) vanishes: neither is an edge of f mod 3, so no
+    # route chooses a split for them
+    code = main(argv + ["--field", "Z/3^2", "--vars", "x,y", "3*x^4 + 3*x^2*y + y^3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "edge restriction vanishes or is a single term in the residue field"}
 
 
 @pytest.mark.parametrize("split", [None, "y+x,x^2"])
@@ -307,7 +331,9 @@ def test_factor_skips_an_edge_that_vanishes_mod_p(split, capsys):
 
 
 def test_one_orthogonal_basis_per_edge_restriction(monkeypatch, capsys):
-    # no command builds an edge's weight system outside its restriction
+    # no command builds an edge's weight system outside its restriction, and
+    # the lift takes the chooser's restriction: one per edge tried (the
+    # split on EXAMPLE2 matches the third of its three loose edges)
     from edgelift import cli, grading, weier
 
     counts = {"basis": 0, "restriction": 0}
@@ -325,12 +351,13 @@ def test_one_orthogonal_basis_per_edge_restriction(monkeypatch, capsys):
     for module in (lift, weier):
         monkeypatch.setattr(module, "edge_restriction",
                             counting("restriction", module.edge_restriction))
-    for argv in (["factor", EXAMPLE1, "--bound", "12"],
-                 ["factor", EXAMPLE2, "--split", "z+x^2*y^2,x*y", "--bound", "10"],
-                 ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"],
-                 ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--split", "y-x,y+x"],
-                 ["padic", "-p", "2", "--prec", "16", F4]):
+    for argv, restrictions in (
+            (["factor", EXAMPLE1, "--bound", "12"], 1),
+            (["factor", EXAMPLE2, "--split", "z+x^2*y^2,x*y", "--bound", "10"], 3),
+            (["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--bound", "6"], 1),
+            (["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y", "--split", "y-x,y+x"], 1),
+            (["padic", "-p", "2", "--prec", "16", F4], 1)):
         counts.update(basis=0, restriction=0)
-        main(argv)
+        assert main(argv) == 0
         capsys.readouterr()
-        assert counts["basis"] == counts["restriction"] > 0, argv
+        assert counts == {"basis": restrictions, "restriction": restrictions}, argv

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from edgelift.coeffs import prime_field, rationals, residue_ring
+from edgelift.coeffs import RESIDUE_RING, prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
 from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
@@ -301,7 +302,7 @@ def test_lift_divisibility_fixture_exact():
     f = divisibility_poly()
     e = the_edge(f, (1, 1, 1), (2, 2, 0))
     split = SplitRequest(parse("x3 + x1*x2", X123, Q), parse("x1*x2", X123, Q))
-    g, h, cert = lift_factorization(f, e, split, 30)
+    g, h, cert = lift_factorization(f, edge_restriction(f, e), split, 30)
     assert g == parse("x3 + x1*x2", X123, Q)
     assert h == parse("x3^2 + x1*x2", X123, Q)
     assert not (f - g * h)
@@ -313,16 +314,16 @@ def test_lift_rejects_variable_divisible_G():
     e = the_edge(f, (1, 1, 1), (2, 2, 0))
     split = SplitRequest(parse("x2*(x3 + x1*x2)", X123, Q), parse("x1", X123, Q))
     with pytest.raises(InvalidSplit) as err:
-        lift_factorization(f, e, split, 30)
+        lift_factorization(f, edge_restriction(f, e), split, 30)
     assert err.value.reason == DIVISIBLE_BY_VARIABLE
 
 
 def test_lift_rejects_bad_product():
     f = divisibility_poly()
-    e = the_edge(f, (1, 1, 1), (2, 2, 0))
+    rest = edge_restriction(f, the_edge(f, (1, 1, 1), (2, 2, 0)))
     with pytest.raises(InvalidSplit) as err:
-        lift_factorization(f, e, SplitRequest(parse("x3", X123, Q),
-                                              parse("x1*x2", X123, Q)), 30)
+        lift_factorization(f, rest, SplitRequest(parse("x3", X123, Q),
+                                                 parse("x1*x2", X123, Q)), 30)
     assert err.value.reason == "ProductMismatch"
 
 
@@ -332,7 +333,7 @@ def test_lift_rejects_non_coprime_split():
     e = the_edge(f, (0, 2), (2, 0))
     split = SplitRequest(parse("x + y", vt, Q), parse("x + y", vt, Q))
     with pytest.raises(InvalidSplit) as err:
-        lift_factorization(f, e, split, 12)
+        lift_factorization(f, edge_restriction(f, e), split, 12)
     assert err.value.reason == "NotCoprime"
 
 
@@ -343,7 +344,7 @@ def test_lift_requires_loose_edge():
     K = Q
     split = SplitRequest(SparsePoly.constant(3, K, 1), SparsePoly.constant(3, K, 1))
     with pytest.raises(NotLoose):
-        lift_factorization(f, e, split, 30)
+        lift_factorization(f, edge_restriction(f, e), split, 30)
 
 
 def test_lift_example1_to_bound():
@@ -352,7 +353,7 @@ def test_lift_example1_to_bound():
     ws = orthogonal_basis(e.direction)
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
     bound = WeightedBound(ws.xi0, 40)
-    g, h, cert = lift_factorization(f, e, split, bound.bound)
+    g, h, cert = lift_factorization(f, edge_restriction(f, e), split, bound.bound)
     resid = (f - g * h).truncate(bound)
     assert not resid
     # initial parts are preserved
@@ -368,7 +369,7 @@ def test_lift_faces_and_minkowski_sum():
     ws = orthogonal_basis(e.direction)
     rest = edge_restriction(f, e)
     split = SplitRequest(parse("z + x^2*y^2", XYZ, Q), parse("x*y", XYZ, Q))
-    g, h, cert = lift_factorization(f, e, split, 30)
+    g, h, cert = lift_factorization(f, rest, split, 30)
     e1 = face_of(build(g), ws.xi0)[0]
     e2 = face_of(build(h), ws.xi0)[0]
     assert restrict(g, e1) == split.G
@@ -390,7 +391,7 @@ def test_lift_prefix_stability():
         lifts = {}
         for N in (24, 40):
             bound = WeightedBound(ws.xi0, N)
-            g, h, _ = lift_factorization(f, e, split, N)
+            g, h, _ = lift_factorization(f, edge_restriction(f, e), split, N)
             residual = (f - g * h).truncate(bound)
             assert not residual.map_coefficients(K, ring.to_residue)
             lifts[N] = g, h
@@ -575,10 +576,10 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
     monkeypatch.setattr(WeightSystem, "slice", counting_slice)
 
     f = parse(EXAMPLE1, XYZ, Q)
-    e = build(f).edges[0]
+    rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
     calls.update(solve_integer=0, slice=0)
-    _, _, cert = lift_factorization(f, e, split, 40)
+    _, _, cert = lift_factorization(f, rest, split, 40)
     assert cert.steps
     assert calls == {"solve_integer": 0, "slice": 2 * len(cert.steps)}
 
@@ -606,12 +607,12 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
     monkeypatch.setattr(lift, "_eliminate_field", counting_eliminate)
 
     f = parse(EXAMPLE1, XYZ, Q)
-    e = build(f).edges[0]
+    rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
-    bound = WeightedBound(orthogonal_basis(e.direction).xi0, 40)
+    bound = WeightedBound(rest.ws.xi0, 40)
     for _ in range(2):
         eliminations.clear()
-        g, h, cert = lift_factorization(f, e, split, bound.bound)
+        g, h, cert = lift_factorization(f, rest, split, bound.bound)
         assert not (f - g * h).truncate(bound)
         assert (len(eliminations), len(cert.steps)) == (2, 4)
 
@@ -639,3 +640,63 @@ def test_edge_restriction_of_a_long_edge_skips_its_lattice_points(monkeypatch):
     assert len(uni) == 1000000
     assert (uni[0], uni[-1]) == (-1, 1)
     assert sum(1 for c in uni if c) == 2
+
+
+def _random_edge_input(rng):
+    """A random polynomial in 2 or 3 variables over Q, F_p or Z/p^k; over
+    Z/p^k about a third of its coefficients are divisible by p."""
+    nvars = rng.choice((2, 3))
+    p = rng.choice((2, 3, 5))
+    ring = rng.choice((Q, prime_field(p), residue_ring(p, rng.randint(2, 4))))
+    divisible = 1 / 3 if ring.kind == RESIDUE_RING else 0
+    terms = {}
+    for _ in range(rng.randint(3, 6)):
+        exponent = tuple(rng.randint(0, 4) for _ in range(nvars))
+        c = rng.choice((1, -1)) * rng.randint(1, p - 1)
+        terms[exponent] = c * p if rng.random() < divisible else c
+    return SparsePoly(nvars, ring, {e: ring.from_int(c) for e, c in terms.items()})
+
+
+def _residual_weight(f, g, h, rest):
+    """Least rest.ws.xi0 weight of f - g*h over the residue field."""
+    residual = f - g * h
+    K = f.ring.residue_field()
+    return residual.map_coefficients(K, f.ring.to_residue).min_weighted_degree(rest.ws.xi0)
+
+
+@pytest.mark.parametrize("monic", [False, True])
+def test_the_lift_accepts_every_split_the_chooser_returns(monic):
+    """Whenever _first_split returns a SplitRequest, the plain lift (loose
+    edges) or the monic lift (descendant loose edges) takes it without an
+    InvalidSplit and clears f - g*h up to the bound, mod p over Z/p^k."""
+    from edgelift.lift import _first_split
+    from edgelift.weier import WeierstrassInput, descendant_loose_edges, lift_monic
+
+    rng = random.Random(4242 + monic)
+    lifted = Counter()
+    for _ in range(600):
+        f = _random_edge_input(rng)
+        if not f:
+            continue
+        if monic:
+            wi = WeierstrassInput(f)
+            edges = descendant_loose_edges(wi)
+        else:
+            edges = [e for e in build(f).edges if e.loose]
+        if not edges:
+            continue
+        try:
+            rest, split = _first_split(f, edges, monic_last=monic)
+        except EmptyFace:
+            continue
+        if not isinstance(split, SplitRequest):
+            continue
+        N = rng.randint(0, 16)
+        if monic:
+            g, h, _ = lift_monic(wi, rest, split, N)
+        else:
+            g, h, _ = lift_factorization(f, rest, split, N)
+        weight = _residual_weight(f, g, h, rest)
+        assert weight is None or weight > N, (f, rest.edge)
+        lifted[f.ring.kind] += 1
+    assert min(lifted.values()) >= 20 and len(lifted) == 3, lifted

@@ -51,7 +51,7 @@ def test_lift_monic_example3():
     assert render(split.G, X12Y) == "y - x1^5*x2^7"
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 60)
-    gbar, hbar, cert = lift_monic(wi, edge, split, bound.bound)
+    gbar, hbar, cert = lift_monic(wi, rest, split, bound.bound)
     assert (wi.f - gbar * hbar).truncate(bound) == SparsePoly.zero(3, Q)
     # the lifted monic factor keeps the pure-y vertex
     assert gbar.coeff((0, 0, 1)) == 1
@@ -70,7 +70,7 @@ def test_lift_monic_unit_cofactor():
     split = SplitRequest(rest.poly, SparsePoly.constant(2, Q, 1))
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 40)
-    gbar, hbar, _ = lift_monic(wi, edge, split, bound.bound)
+    gbar, hbar, _ = lift_monic(wi, rest, split, bound.bound)
     assert (f - gbar * hbar).truncate(bound) == SparsePoly.zero(2, Q)
     assert hbar.coeff((0, 0)) == 1  # unit cofactor
 
@@ -82,12 +82,12 @@ def test_lift_monic_validation():
     not_monic = SplitRequest(parse("x1^5*x2^4*y - x1^10*x2^11", X12Y, Q),
                              parse("y + x1^5*x2^7", X12Y, Q))
     with pytest.raises(NotMonic):
-        lift_monic(wi, edge, not_monic, 30)
+        lift_monic(wi, rest, not_monic, 30)
     np = build(wi.f)
     non_descendant = [e for e in np.edges if e.loose and not e.descendant]
     if non_descendant:
         with pytest.raises(NotDescendant):
-            lift_monic(wi, non_descendant[0], not_monic, 30)
+            lift_monic(wi, edge_restriction(wi.f, non_descendant[0]), not_monic, 30)
 
 
 def test_lift_monic_rejects_invalid_splits():
@@ -100,16 +100,17 @@ def test_lift_monic_rejects_invalid_splits():
            SplitRequest(good.G, good.H.scale(Fraction(2)))]
     for split in bad:
         with pytest.raises(InvalidSplit) as err:
-            lift_monic(wi, edge, split, 30)
+            lift_monic(wi, rest, split, 30)
         assert err.value.reason == PRODUCT_MISMATCH
 
     vt = VarTable(("x", "y"))
     wi2 = WeierstrassInput(parse("y^2 - 2*x*y + x^2 + x^3", vt, Q))
     edge2 = descendant_loose_edges(wi2)[0]
     square_root = parse("y - x", vt, Q)
-    assert edge_restriction(wi2.f, edge2).poly == square_root * square_root
+    rest2 = edge_restriction(wi2.f, edge2)
+    assert rest2.poly == square_root * square_root
     with pytest.raises(InvalidSplit) as err:
-        lift_monic(wi2, edge2, SplitRequest(square_root, square_root), 8)
+        lift_monic(wi2, rest2, SplitRequest(square_root, square_root), 8)
     assert err.value.reason == NOT_COPRIME
 
 
@@ -300,7 +301,7 @@ def test_full_monic_pipeline_example3():
     split = _split_from_restriction(rest, monic_last=True)
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 60)
-    gbar, hbar, _ = lift_monic(wi, edge, split, bound.bound)
+    gbar, hbar, _ = lift_monic(wi, rest, split, bound.bound)
     bx = weight_to_x_bound(ws, 60)
     u, g = weierstrass_normalize(gbar, 1, bx)
     # monic degree 1, unit constant term invertible, u*g matches gbar
@@ -323,8 +324,8 @@ def test_monic_pipeline_bound_stability():
     rest = edge_restriction(wi.f, edge)
     split = _split_from_restriction(rest, monic_last=True)
     ws = orthogonal_basis(edge.direction)
-    g1, h1, _ = lift_monic(wi, edge, split, 30)
-    g2, h2, _ = lift_monic(wi, edge, split, 60)
+    g1, h1, _ = lift_monic(wi, rest, split, 30)
+    g2, h2, _ = lift_monic(wi, rest, split, 60)
     w = sum(ws.weight(next(iter(split.G.terms))))
     z = sum(ws.weight(next(iter(split.H.terms))))
     assert g1.truncate(WeightedBound(ws.xi0, 30 - z)) == g2.truncate(WeightedBound(ws.xi0, 30 - z))
