@@ -3,9 +3,11 @@
 Subcommands: analyze | restrict | factor | weierstrass | padic | verify.
 ``factor`` and ``weierstrass`` lift the restriction that lift._first_split
 picks among the --edge, or else every loose (``factor``) or descendant loose
-(``weierstrass``) edge; main() reports every InvalidSplit, whichever step
-raised it, as the stdout verdict ``invalid_split``.  A negative --bound is
-an input error.
+(``weierstrass``) edge.  Each cmd_* handler returns (report, exit code), and
+main() alone writes a report to stdout: the handler's, or the verdict
+``invalid_split`` for an InvalidSplit, whichever step raised it.  A reader
+that closes stdout early does not change the exit code.  A negative
+--bound is an input error.
 Exit codes: 0 success/reducible, 1 verification failure, 2 hypothesis
 violation or inconclusive verdict, 3 input error.  JSON output renders all
 ring elements as exact strings; lattice data stays integral.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import expr, lift, newton, weier
@@ -137,30 +140,25 @@ def _edge_report(f, vars_, np):
 def cmd_analyze(args):
     ring, vars_, f = _setup(args)
     np = newton.build(f)
-    report = {
+    return {
         "ring": str(ring),
         "vars": list(vars_.names),
         "vertices": [list(v) for v in np.vertices],
         "edges": _edge_report(f, vars_, np),
         "polygonal": newton.is_polygonal(np),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_restrict(args):
     ring, vars_, f = _setup(args)
-    np = newton.build(f)
-    edge = _pick_edge(np, args.edge)
+    edge = _pick_edge(newton.build(f), args.edge)
     rest = lift.edge_restriction(f, edge)
-    report = {
+    return {
         "edge": edge.to_dict(),
         "restriction": expr.render(rest.poly, vars_),
         "content": list(rest.content),
         "univariate": [str(c) for c in rest.univariate],
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def _pick_edge(np, index):
@@ -182,23 +180,14 @@ def _parse_split(args, vars_, ring):
     return lift.SplitRequest(expr.parse(parts[0], vars_, K), expr.parse(parts[1], vars_, K))
 
 
-def _reducible_report(edge, g, h, cert, vars_):
+def _power_report(verdict, power, vars_):
+    """The prime-power verdict: the restriction of f to power.edge is a
+    power of power.factor, rendered in vars_."""
     return {
-        "verdict": "reducible",
-        "edge": edge.to_dict(),
-        "g": expr.render(g, vars_),
-        "h": expr.render(h, vars_),
-        "certificate": cert.to_dict(),
-    }
-
-
-def _prime_power_report(power, vars_):
-    return {
-        "verdict": "edge_prime_power",
+        "verdict": verdict,
         "edge": power.edge.to_dict(),
         "factor": expr.render(power.factor, vars_),
         "power": power.power,
-        "unit": str(power.unit),
     }
 
 
@@ -217,15 +206,20 @@ def cmd_factor(args):
     else:
         edges = [e for e in np.edges if e.loose]
         if not edges:
-            _emit({"verdict": "no_loose_edge"}, args)
-            return EXIT_INCONCLUSIVE
+            return {"verdict": "no_loose_edge"}, EXIT_INCONCLUSIVE
     rest, split = lift._first_split(f, edges, split)
     if isinstance(split, lift.EdgePrimePower):
-        _emit(_prime_power_report(split, vars_), args)
-        return EXIT_INCONCLUSIVE
+        report = _power_report("edge_prime_power", split, vars_)
+        report["unit"] = str(split.unit)
+        return report, EXIT_INCONCLUSIVE
     g, h, cert = lift.lift_factorization(f, rest, split, args.bound)
-    _emit(_reducible_report(rest.edge, g, h, cert, vars_), args)
-    return EXIT_OK
+    return {
+        "verdict": "reducible",
+        "edge": rest.edge.to_dict(),
+        "g": expr.render(g, vars_),
+        "h": expr.render(h, vars_),
+        "certificate": cert.to_dict(),
+    }, EXIT_OK
 
 
 def cmd_weierstrass(args):
@@ -238,18 +232,10 @@ def cmd_weierstrass(args):
     else:
         edges = weier.descendant_loose_edges(wi)
         if not edges:
-            _emit({"verdict": "no_descendant_loose_edge"}, args)
-            return EXIT_INCONCLUSIVE
+            return {"verdict": "no_descendant_loose_edge"}, EXIT_INCONCLUSIVE
     rest, split = lift._first_split(f, edges, split, monic_last=True)
-    edge = rest.edge
     if isinstance(split, lift.EdgePrimePower):
-        _emit({
-            "verdict": "no_coprime_split",
-            "edge": edge.to_dict(),
-            "factor": expr.render(split.factor, vars_),
-            "power": split.power,
-        }, args)
-        return EXIT_INCONCLUSIVE
+        return _power_report("no_coprime_split", split, vars_), EXIT_INCONCLUSIVE
     gbar, hbar, cert = weier.lift_monic(wi, rest, split, args.bound)
     bound = WeightedBound(rest.ws.xi0, args.bound)
     d = max(e[-1] for e in split.G.terms)
@@ -257,18 +243,16 @@ def cmd_weierstrass(args):
     unit, g = weier.weierstrass_normalize(gbar, d, bound_x)
     h, remainder = weier.poly_divide(f, g, bound_x)
     residual = (f - g.mul(h, bound)).truncate(bound)
-    report = {
+    return {
         "verdict": "factored",
-        "edge": edge.to_dict(),
+        "edge": rest.edge.to_dict(),
         "g": expr.render(g, vars_),
         "h": expr.render(h, vars_),
         "unit": expr.render(unit, vars_),
         "division_remainder": expr.render(remainder, vars_),
         "residual_within_bound": expr.render(residual, vars_),
         "certificate": cert.to_dict(),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_padic(args):
@@ -276,47 +260,32 @@ def cmd_padic(args):
     plane_vars = expr.VarTable(("p", "y"))
     ring = residue_ring(args.prime, args.prec)
     f = expr.parse(_load_expression(args), vars_, ring)
-    coeffs = [0] * (max((e[0] for e in f.terms), default=0) + 1)
-    for e, c in f.terms.items():
-        coeffs[e[0]] = int(c)
-    pp = weier.PadicPoly(tuple(coeffs), args.prime, args.prec)
+    degree = max((e[0] for e in f.terms), default=0)
+    pp = weier.PadicPoly(tuple(f.coeff((j,)) for j in range(degree + 1)),
+                         args.prime, args.prec)
     verdict = weier.padic_newton_factor(pp)
-    base = {
+    report = {
         "p": args.prime,
         "k": args.prec,
         "modulus": str(args.prime**args.prec),
         "polygon_vertices": [list(v) for v in verdict.polygon.vertices],
     }
     if isinstance(verdict, weier.PadicFactors):
-        factors = []
-        for cs in verdict.factors:
-            poly = _dense_to_poly(cs, ring)
-            factors.append(expr.render(poly, vars_))
-        base.update({
+        report.update({
             "verdict": "factors",
             "edge": verdict.edge.to_dict(),
             "restriction": expr.render(verdict.restriction, plane_vars),
-            "factors": factors,
+            "factors": [expr.render(SparsePoly(1, ring, {(j,): c for j, c in enumerate(cs)}),
+                                    vars_)
+                        for cs in verdict.factors],
             "certificate": verdict.certificate.to_dict(),
         })
-        _emit(base, args)
-        return EXIT_OK
+        return report, EXIT_OK
     if isinstance(verdict, weier.NoCoprimeSplit):
-        base.update({
-            "verdict": "no_coprime_split",
-            "edge": verdict.edge.to_dict(),
-            "factor": expr.render(verdict.factor, plane_vars),
-            "power": verdict.power,
-        })
-        _emit(base, args)
-        return EXIT_INCONCLUSIVE
-    base.update({"verdict": "no_loose_edge"})
-    _emit(base, args)
-    return EXIT_INCONCLUSIVE
-
-
-def _dense_to_poly(coeffs, ring):
-    return SparsePoly(1, ring, {(j,): c for j, c in enumerate(coeffs)})
+        report.update(_power_report("no_coprime_split", verdict, plane_vars))
+    else:
+        report["verdict"] = "no_loose_edge"
+    return report, EXIT_INCONCLUSIVE
 
 
 def cmd_verify(args):
@@ -325,31 +294,28 @@ def cmd_verify(args):
     g = expr.parse(args.g_expr, vars_, ring)
     h = expr.parse(args.h_expr, vars_, ring)
     if args.edge is not None:
-        np = newton.build(f)
-        edge = _pick_edge(np, args.edge)
+        edge = _pick_edge(newton.build(f), args.edge)
         weights = orthogonal_basis(edge.direction).xi0
     else:
         weights = (1,) * f.nvars
     residual = f - g * h
     min_weight = residual.min_weighted_degree(weights)
     passed = min_weight is None or min_weight > args.bound
-    _emit({
+    return {
         "pass": passed,
         "weights": list(weights),
         "bound": args.bound,
         "residual_min_weight": min_weight,
-    }, args)
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    }, EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        report, code = args.handler(args)
     except lift.InvalidSplit as err:
-        _emit({"verdict": "invalid_split", "reason": err.reason}, args)
-        return EXIT_INCONCLUSIVE
+        report, code = {"verdict": "invalid_split", "reason": err.reason}, EXIT_INCONCLUSIVE
     except (lift.LiftError, NoMixedSigns, UnsupportedRing, DegreeTooLarge) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -357,6 +323,19 @@ def main(argv=None):
             newton.NotAnEdge, ValueError, OSError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return EXIT_INPUT_ERROR
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; the verdict stands.  With fd 1 on
+        # devnull the flush at interpreter exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except OSError as err:
+        print(json.dumps({"error": str(err)}), file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

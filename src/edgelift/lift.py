@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import newton
-from .coeffs import RESIDUE_RING
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_min, exp_neg,
@@ -378,30 +377,22 @@ def _cofactor_system(G, H, h_pts, g_pts):
 
 # -- the lifting loop -------------------------------------------------------------
 
-def _to_residue_poly(f):
-    if f.ring.kind != RESIDUE_RING:
-        return f
-    return f.map_coefficients(f.ring.residue_field(), f.ring.to_residue)
+def _as_is(P, ring=None):
+    return P
 
 
-def _lift_from_residue(P, ring):
-    if P.ring == ring:
-        return P
-    return SparsePoly(P.nvars, ring, P.terms)
-
-
-def _run_lift(f, ws, G, H, N, view=_to_residue_poly, embed=_lift_from_residue,
-              caps=(None, None)):
+def _run_lift(f, ws, G, H, N, view=_as_is, embed=_as_is, caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at weight ``N`` in the edge's own
     weights ws.xi0 (None: not truncated), is formed once and then updated by
     the two products each correction adds.
-    ``view`` maps it to the graded residue-field polynomial the steps clear
-    (mod p over Z/p^k, the identity over a field, the plane model for
-    ``padic``), and ``embed(P, f.ring)`` carries a residue-field solution
-    back into f's ring.  ``caps`` bounds the last coordinates of every
-    step's (h', g') columns; a step inconsistent within them is Unsolvable.
+    By default f lives over the residue field of G and H, and the steps
+    clear the residual itself (see _lift_over_residue_field).  ``padic``
+    alone passes its own maps: ``view`` reads the residual in the plane
+    model over F_p, and ``embed(P, f.ring)`` carries a solution back into
+    f's ring.  ``caps`` bounds the last coordinates of every step's (h', g')
+    columns; a step inconsistent within them is Unsolvable.
     G and H are fixed, so a system eliminated once serves every later step
     with the same columns up to translation; nothing is kept past the call.
     """
@@ -446,6 +437,15 @@ def _run_lift(f, ws, G, H, N, view=_to_residue_poly, embed=_lift_from_residue,
     return g, h, cert
 
 
+def _lift_over_residue_field(f, ws, split, N):
+    """_run_lift on f over the residue field (f mod p over Z/p^k); g and h
+    come back into f's ring as canonical residues."""
+    ring = f.ring
+    K = ring.residue_field()
+    g, h, cert = _run_lift(f.map_coefficients(K, ring.to_residue), ws, split.G, split.H, N)
+    return SparsePoly(f.nvars, ring, g.terms), SparsePoly(f.nvars, ring, h.terms), cert
+
+
 def _require_edge(edge, descendant=False):
     """Raise NotLoose, or with ``descendant`` NotDescendant, unless a lift
     can use the edge."""
@@ -455,16 +455,15 @@ def _require_edge(edge, descendant=False):
         raise NotDescendant(f"edge {edge.a}-{edge.b} is not descendant")
 
 
-def _validate_split(split, restriction, unit_h=False):
+def _validate_split(split, restriction):
     """The split checks shared by the plain and monic lifts: G and H
-    nonzero over the residue field and nonconstant (``unit_h`` lets H be a
-    constant: the monic lift of the whole restriction is a Weierstrass
-    preparation), G*H equal to the edge restriction, and coprime."""
+    nonzero over the residue field and nonconstant, G*H equal to the edge
+    restriction, and coprime."""
     G, H = split.G, split.H
     if not G or not H:
         raise InvalidSplit(PRODUCT_MISMATCH, "split parts must be nonzero")
     constant = [(0,) * G.nvars]
-    if list(G.terms) == constant or (list(H.terms) == constant and not unit_h):
+    if list(G.terms) == constant or list(H.terms) == constant:
         raise InvalidSplit(UNIT_PART, "split parts must not be constants")
     if G.ring != restriction.ring or H.ring != restriction.ring:
         raise InvalidSplit(PRODUCT_MISMATCH, "split must live over the residue field")
@@ -487,7 +486,7 @@ def lift_factorization(f, rest, split, N):
     _validate_split(split, rest.poly)
     if any(_content(split.G)):
         raise InvalidSplit(DIVISIBLE_BY_VARIABLE, "G is divisible by a variable")
-    return _run_lift(f, rest.ws, split.G, split.H, N)
+    return _lift_over_residue_field(f, rest.ws, split, N)
 
 
 # -- irreducibility-witness logic -------------------------------------------------

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .lift import (EdgePrimePower, LiftError, _first_split, _require_edge, _run_lift,
-                   _top_in_last, _validate_split)
+from .lift import (EdgePrimePower, LiftError, _first_split, _lift_over_residue_field,
+                   _require_edge, _run_lift, _top_in_last, _validate_split)
 from .lift import NotDescendant  # noqa: F401  (raised by the monic lift; re-exported)
 from .poly import SparsePoly, WeightedBound, exp_add
 # Unused here, but perfbench/tracing.py patches these names in this module;
@@ -62,11 +62,11 @@ def lift_monic(wi, rest, split, N):
     descendant and G monic in y; G need not avoid variable factors."""
     f = wi.f
     _require_edge(rest.edge, descendant=True)
-    _validate_split(split, rest.poly, unit_h=True)
+    _validate_split(split, rest.poly)
     d, top = _top_in_last(split.G)
     if top != split.G.ring.one():
         raise NotMonic("G must be monic in the last variable")
-    gbar, hbar, cert = _run_lift(f, rest.ws, split.G, split.H, N)
+    gbar, hbar, cert = _lift_over_residue_field(f, rest.ws, split, N)
     assert gbar.coeff((0,) * (f.nvars - 1) + (d,)) == f.ring.one()
     return gbar, hbar, cert
 

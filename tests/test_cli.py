@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import edgelift
 from edgelift import VarTable, lift, newton, parse, rationals
 from edgelift.cli import main
 from edgelift.grading import orthogonal_basis
@@ -204,6 +208,41 @@ def test_golden_output(case, capsys):
     code = main(case["argv"])
     assert capsys.readouterr().out == (GOLDEN / f"{case['name']}.out").read_text()
     assert code == case["exit"]
+
+
+def _run_module(argv, stdout):
+    """Run ``python -m edgelift.cli argv`` with the given stdout."""
+    src = str(Path(edgelift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "edgelift.cli"] + argv, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["readme_weierstrass", "readme_verify"])
+def test_a_closed_stdout_keeps_the_exit_code(name):
+    # a reader that exits before reading the report (here a pipe whose read
+    # end is closed) neither changes the exit code nor prints an error; the
+    # weierstrass report outgrows stdout's buffer, so its write fails inside
+    # print, and the verify report's write fails at the flush
+    case = next(c for c in GOLDEN_CASES if c["name"] == name)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = _run_module(case["argv"], write)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (case["exit"], b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_exits_3():
+    # any other write error is reported, and not as a verdict's exit code
+    case = next(c for c in GOLDEN_CASES if c["name"] == "readme_verify")
+    with open("/dev/full", "w") as full:
+        run = _run_module(case["argv"], full)
+    assert run.returncode == 3
+    assert json.loads(run.stderr) == {"error": "[Errno 28] No space left on device"}
 
 
 def test_one_polyhedron_per_request(monkeypatch, capsys):

@@ -668,7 +668,9 @@ def _residual_weight(f, g, h, rest):
 def test_the_lift_accepts_every_split_the_chooser_returns(monic):
     """Whenever _first_split returns a SplitRequest, the plain lift (loose
     edges) or the monic lift (descendant loose edges) takes it without an
-    InvalidSplit and clears f - g*h up to the bound, mod p over Z/p^k."""
+    InvalidSplit and clears f - g*h up to the bound, mod p over Z/p^k.
+    Over Z/p^k the lift is that of f mod p over F_p: the same g, h (as
+    canonical residues) and certificate."""
     from edgelift.lift import _first_split
     from edgelift.weier import WeierstrassInput, descendant_loose_edges, lift_monic
 
@@ -692,11 +694,19 @@ def test_the_lift_accepts_every_split_the_chooser_returns(monic):
         if not isinstance(split, SplitRequest):
             continue
         N = rng.randint(0, 16)
-        if monic:
-            g, h, _ = lift_monic(wi, rest, split, N)
-        else:
-            g, h, _ = lift_factorization(f, rest, split, N)
+
+        def lifted_pair(f):
+            if monic:
+                return lift_monic(WeierstrassInput(f), rest, split, N)
+            return lift_factorization(f, rest, split, N)
+
+        g, h, cert = lifted_pair(f)
         weight = _residual_weight(f, g, h, rest)
         assert weight is None or weight > N, (f, rest.edge)
+        if f.ring.kind == RESIDUE_RING:
+            K = f.ring.residue_field()
+            g_p, h_p, cert_p = lifted_pair(f.map_coefficients(K, f.ring.to_residue))
+            assert (g.terms, h.terms) == (g_p.terms, h_p.terms), (f, rest.edge)
+            assert cert.to_dict() == cert_p.to_dict(), (f, rest.edge)
         lifted[f.ring.kind] += 1
     assert min(lifted.values()) >= 20 and len(lifted) == 3, lifted

@@ -6,8 +6,9 @@ import pytest
 from edgelift.coeffs import prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
-from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, InvalidSplit, LiftError,
-                           SplitRequest, _split_from_restriction, edge_restriction)
+from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, UNIT_PART, InvalidSplit,
+                           LiftError, SplitRequest, _split_from_restriction,
+                           edge_restriction)
 from edgelift.newton import build
 from edgelift.poly import SparsePoly, WeightedBound
 from edgelift.unifactor import pmul, trim
@@ -58,21 +59,18 @@ def test_lift_monic_example3():
 
 
 def test_lift_monic_unit_cofactor():
-    # the whole restriction as the monic part and a constant H: the cofactor
-    # comes back as a unit
+    # the whole restriction as the monic part and a constant H splits
+    # nothing: the monic lift rejects it as the plain lift does
     vt = VarTable(("x", "y"))
     f = parse("y^2 - x^2 + x^3", vt, Q)
     wi = WeierstrassInput(f)
     edges = descendant_loose_edges(wi)
     assert edges
-    edge = edges[0]
-    rest = edge_restriction(f, edge)
+    rest = edge_restriction(f, edges[0])
     split = SplitRequest(rest.poly, SparsePoly.constant(2, Q, 1))
-    ws = orthogonal_basis(edge.direction)
-    bound = WeightedBound(ws.xi0, 40)
-    gbar, hbar, _ = lift_monic(wi, rest, split, bound.bound)
-    assert (f - gbar * hbar).truncate(bound) == SparsePoly.zero(2, Q)
-    assert hbar.coeff((0, 0)) == 1  # unit cofactor
+    with pytest.raises(InvalidSplit) as err:
+        lift_monic(wi, rest, split, 40)
+    assert err.value.reason == UNIT_PART
 
 
 def test_lift_monic_validation():
