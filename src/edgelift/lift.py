@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heappop, heappush
 
 from . import newton
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
-from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_min, exp_neg,
-                   exp_sub, primitive_vector)
+from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
+                   exp_neg, exp_sub, primitive_vector)
 from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
 # Unused here, but perfbench/tracing.py patches this name in this module;
 # without it its --trace 1 does not install.
@@ -281,19 +282,18 @@ def _uniform_weight(P, ws):
     return weights.pop()
 
 
-def _cofactor_slices(G, H, r, ws, wr, caps=(None, None)):
-    """h'-columns and g'-columns of the cofactor system at r's weight.
+def _cofactor_slices(G, H, w, z, p, ws, wr, caps=(None, None)):
+    """h'-columns and g'-columns of the cofactor system at the weight wr of
+    a point p, for G and H of weights w and z.
 
-    The weight map is additive, so for a term p of r and terms alpha of G,
-    beta of H, the column slices are anchored at points they contain:
-    p - alpha for h' and p - beta for g'.  The caps bound their last
-    coordinates."""
-    p = next(iter(r.terms))
+    The weight map is additive, so for terms alpha of G and beta of H the
+    column slices are anchored at points they contain: p - alpha for h' and
+    p - beta for g'.  The caps bound their last coordinates."""
     alpha = next(iter(G.terms))
     beta = next(iter(H.terms))
     h_cap, g_cap = caps
-    h_pts = ws.slice(exp_sub(wr, ws.weight(alpha)), exp_sub(p, alpha), h_cap).points
-    g_pts = ws.slice(exp_sub(wr, ws.weight(beta)), exp_sub(p, beta), g_cap).points
+    h_pts = ws.slice(exp_sub(wr, w), exp_sub(p, alpha), h_cap).points
+    g_pts = ws.slice(exp_sub(wr, z), exp_sub(p, beta), g_cap).points
     return h_pts, g_pts
 
 
@@ -316,10 +316,11 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     if not r:
         zero = SparsePoly.zero(r.nvars, ring)
         return zero, zero
-    _uniform_weight(G, ws)  # G and H must be weight-homogeneous too
-    _uniform_weight(H, ws)
+    w = _uniform_weight(G, ws)  # G and H must be weight-homogeneous too
+    z = _uniform_weight(H, ws)
     wr = _uniform_weight(r, ws)
-    slices = _cofactor_slices(G, H, r, ws, wr, max_last_exp or (None, None))
+    slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr,
+                              max_last_exp or (None, None))
     return _solve_in_slices(G, H, r, wr, *slices, {})
 
 
@@ -377,64 +378,114 @@ def _cofactor_system(G, H, h_pts, g_pts):
 
 # -- the lifting loop -------------------------------------------------------------
 
-def _as_is(P, ring=None):
-    return P
-
-
-def _run_lift(f, ws, G, H, N, view=_as_is, embed=_as_is, caps=(None, None)):
+def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda P, ring: P,
+              caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at weight ``N`` in the edge's own
-    weights ws.xi0 (None: not truncated), is formed once and then updated by
-    the two products each correction adds.
-    By default f lives over the residue field of G and H, and the steps
-    clear the residual itself (see _lift_over_residue_field).  ``padic``
-    alone passes its own maps: ``view`` reads the residual in the plane
-    model over F_p, and ``embed(P, f.ring)`` carries a solution back into
-    f's ring.  ``caps`` bounds the last coordinates of every step's (h', g')
-    columns; a step inconsistent within them is Unsolvable.
-    G and H are fixed, so a system eliminated once serves every later step
-    with the same columns up to translation; nothing is kept past the call.
+    weights ws.xi0 (None: not truncated), is one exponent -> coefficient
+    dict, formed once; each correction subtracts its two truncated products
+    from it in place, and g and h grow in place.  ``view(e, c)`` maps a
+    residual term to the term the steps solve for: the identity by default,
+    where f lives over the residue field of G and H (see
+    _lift_over_residue_field), and the plane digit for ``padic``, which alone
+    also passes ``embed(P, f.ring)`` to carry a solution back into f's ring.
+    The visible terms sit in buckets by weight under a heap of weight keys,
+    and only the exponents a product touched are viewed and bucketed again,
+    so a step costs about the products it forms.  ``caps`` bounds the last
+    coordinates of every step's (h', g') columns; a step inconsistent within
+    them is Unsolvable.  G and H are fixed, so a system eliminated once
+    serves every later step with the same columns up to translation; nothing
+    is kept past the call.  The exit weight comes from capped products.
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
-    g, h = embed(G, ring), embed(H, ring)
+    # copies, as they grow in place
+    g, h = (SparsePoly(f.nvars, ring, embed(P, ring).terms) for P in (G, H))
     bound = None if N is None else WeightedBound(ws.xi0, N)
     cert = LiftCertificate(w, z, N)
     previous = None
     systems = {}
-    residual = (f - g.mul(h, bound)).truncate(bound)
+    residual = (f - g.mul(h, bound)).truncate(bound).terms
+    buckets = {}   # weight -> {residual exponent: its visible term}
+    keys = []      # heap of the deglex keys of the weights in buckets
+    placed = {}    # residual exponent -> the weight of its bucket
+    weights = {}   # visible exponent -> its weight, computed once
+
+    def place(exponents):
+        for e in exponents:
+            if e in placed:
+                del buckets[placed.pop(e)][e]
+            if e in residual:
+                seen, c = view(e, residual[e])
+                if seen not in weights:
+                    weights[seen] = ws.weight(seen)
+                weight = placed[e] = weights[seen]
+                if weight not in buckets:  # the key's first entry is the sum <xi0, e>
+                    buckets[weight] = {}
+                    heappush(keys, deglex_key(weight))
+                buckets[weight][e] = seen, c
+
+    place(residual)
     while True:
-        visible = view(residual)
-        weights = {e: ws.weight(e) for e in visible.terms}
-        # deglex_key orders by the sum first, and the weights sum to <xi0, e>.
-        wmin = min(weights.values(), key=deglex_key, default=None)
+        while keys and not buckets[keys[0][1]]:
+            del buckets[heappop(keys)[1]]
+        wmin = keys[0][1] if keys else None
         if cert.steps:
             cert.steps[-1].residual_after = None if wmin is None else sum(wmin)
         if wmin is None:
             break
-        key = deglex_key(wmin)
-        if previous is not None and key <= previous:
+        if previous is not None and keys[0] <= previous:
             raise Unsolvable(f"residual weight did not increase at {wmin}")
-        previous = key
+        previous = keys[0]
         step = exp_sub(wmin, exp_add(w, z))
         if any(x < 0 for x in step):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
-        initial = visible.restrict_to([e for e, we in weights.items() if we == wmin])
-        h_pts, g_pts = _cofactor_slices(G, H, initial, ws, wmin, caps)
+        initial = SparsePoly(G.nvars, G.ring, buckets[wmin].values())
+        h_pts, g_pts = _cofactor_slices(G, H, w, z, next(iter(initial.terms)), ws, wmin, caps)
         h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts, systems)
         cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin),
                                    solved=(len(h_part), len(g_part))))
         g_part = embed(g_part, ring)
         h_part = embed(h_part, ring)
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
-        h = h + h_part
-        residual = residual - g_part.mul(h, bound) - g.mul(h_part, bound)
-        g = g + g_part
-    remainder = view(f - g * h)
-    cert.exit_min_weight = remainder.min_weighted_degree(ws.xi0)
+        _add_into(h.terms, h_part, ring.add)
+        products = (g_part.mul(h, bound), g.mul(h_part, bound))
+        _add_into(g.terms, g_part, ring.add)
+        for product in products:
+            _add_into(residual, product, ring.sub)
+        place(products[0].terms.keys() | products[1].terms.keys())
+    cert.exit_min_weight = _exit_weight(f, g, h, ws.xi0, N, view)
     return g, h, cert
+
+
+def _add_into(terms, P, op):
+    """terms[e] = op(terms[e], c) in place for each term c*x^e of P; zeros drop."""
+    for e, c in P.terms.items():
+        c = op(terms.get(e, 0), c)
+        if c == 0:
+            del terms[e]
+        else:
+            terms[e] = c
+
+
+def _exit_weight(f, g, h, xi0, N, view):
+    """The least xi0 weight of the view of f - g*h, None when it vanishes.
+
+    The lift cleared every term of weight at most N, so the products capped
+    at N + 1, N + 2, N + 4, ... find it; past the largest weight f or g*h
+    reaches, and without a bound, the product is the full one."""
+    top = [max((exp_dot(xi0, e) for e in P.terms), default=0) for P in (f, g, h)]
+    reach = None if N is None else max(top[0], top[1] + top[2])
+    margin = 1
+    while True:
+        cap = WeightedBound(xi0, N + margin) if N is not None and N + margin < reach else None
+        remainder = (f - g.mul(h, cap)).truncate(cap)
+        if remainder or cap is None:
+            return min((exp_dot(xi0, view(e, c)[0]) for e, c in remainder.terms.items()),
+                       default=None)
+        margin *= 2
 
 
 def _lift_over_residue_field(f, ws, split, N):

@@ -235,20 +235,27 @@ def _as_poly(pp):
 def _plane(P):
     """The plane model of P in Z/p^k[y]: over F_p, the leading p-adic digit
     of each term c*y^j sits at the point (v_p(c), j)."""
-    p = P.ring.p
+    view = _plane_term(P.ring)
+    return SparsePoly(2, prime_field(P.ring.p), (view(e, c) for e, c in P.terms.items()))
+
+
+def _plane_term(ring):
+    """The plane model term by term: c*y^j in Z/p^k[y] goes to the point
+    (v_p(c), j) with the digit c / p^v_p(c) mod p."""
+    p = ring.p
     # p^(2^i) for 2^i < k: a nonzero residue has v_p < k, so dividing out
     # these blocks largest first finds v_p one binary digit at a time.
-    blocks = [(1 << i, p ** (1 << i)) for i in reversed(range((P.ring.k - 1).bit_length()))]
-    terms = {}
-    for (j,), c in P.terms.items():
+    blocks = [(1 << i, p ** (1 << i)) for i in reversed(range((ring.k - 1).bit_length()))]
+
+    def term(e, c):
         v = 0
         for size, block in blocks:
             q, rem = divmod(c, block)
             if not rem:
                 c = q
                 v += size
-        terms[(v, j)] = c % p
-    return SparsePoly(2, prime_field(p), terms)
+        return (v, e[0]), c % p
+    return term
 
 
 def _embed_plane(P, ring):
@@ -321,7 +328,8 @@ def _padic_lift(pp, rest, split):
     deg_y = max(j for (j,) in f.terms)
     d_monic = max(j for _, j in split.G.terms)
     caps = (deg_y - d_monic, d_monic)
-    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane, _embed_plane, caps)
+    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane_term(f.ring),
+                           _embed_plane, caps)
     assert g * h == f, "p-adic product check failed"
     cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
     for step in cert.steps:

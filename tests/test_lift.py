@@ -622,6 +622,69 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
         assert (len(eliminations), len(steps)) == (2, 44)
 
 
+@pytest.mark.parametrize("N", [40, 120])
+def test_a_lift_weighs_each_residual_exponent_once(monkeypatch, N):
+    """The loop computes the weight of each exponent the residual holds
+    once: f's terms within the bound and the terms of the products formed at
+    the lift's bound.  Besides those it weighs G, H and the two slice anchors
+    of each step; rescanning the whole residual every step costs more."""
+    from edgelift.grading import WeightSystem
+
+    f = parse(EXAMPLE1, XYZ, Q)
+    rest = edge_restriction(f, build(f).edges[0])
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+    bound = WeightedBound(rest.ws.xi0, N)
+    calls, touched = [0], set(f.truncate(bound).terms)
+    weight, mul = WeightSystem.weight, SparsePoly.mul
+
+    def counting_weight(self, alpha):
+        calls[0] += 1
+        return weight(self, alpha)
+
+    def recording_mul(self, other, trunc=None):
+        product = mul(self, other, trunc)
+        if trunc == bound:
+            touched.update(product.terms)
+        return product
+
+    monkeypatch.setattr(WeightSystem, "weight", counting_weight)
+    monkeypatch.setattr(SparsePoly, "mul", recording_mul)
+    _, _, cert = lift_factorization(f, rest, split, N)
+    assert len(cert.steps) >= 4
+    assert calls[0] <= len(split.G) + len(split.H) + len(touched) + 2 * len(cert.steps)
+
+
+@pytest.mark.parametrize("f_text, caps, exit_weight", [
+    # f - G*H is x*y*z^4 - x^7*y^5*z^2, of weights 22 and 40: the caps 1,
+    # 2, 4, 8 and 16 miss 22, and 32 is still below the weight 40 f reaches
+    (EXAMPLE1, [1, 2, 4, 8, 16, 32], 22),
+    # f = G*H: nothing remains, and past the weight 16 that G*H reaches the
+    # product is the full one
+    ("x^6*y^2 - z^4", [1, 2, 4, 8, None], None),
+], ids=["example1", "exact"])
+def test_the_exit_weight_doubles_its_cap_above_the_bound(monkeypatch, f_text, caps, exit_weight):
+    """At N = 0 no step runs, and the exit weight is read from the products
+    capped at N + 1, N + 2, N + 4, ... up to the largest weight f or g*h
+    reaches, where the product is the full one."""
+    f = parse(f_text, XYZ, Q)
+    rest = edge_restriction(f, build(f).edges[0])
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+    seen = []
+    mul = SparsePoly.mul
+
+    def recording_mul(self, other, trunc=None):
+        seen.append(None if trunc is None else trunc.bound)
+        return mul(self, other, trunc)
+
+    monkeypatch.setattr(SparsePoly, "mul", recording_mul)
+    g, h, cert = lift_factorization(f, rest, split, 0)
+    monkeypatch.undo()
+    assert not cert.steps
+    # G*H in the split check, then the residual at the bound 0
+    assert seen == [None, 0] + caps
+    assert cert.exit_min_weight == _residual_weight(f, g, h, rest) == exit_weight
+
+
 def test_edge_restriction_of_a_long_edge_skips_its_lattice_points(monkeypatch):
     """The restriction picks f's terms on the segment without walking the
     segment's 10^6 lattice points."""
@@ -703,6 +766,7 @@ def test_the_lift_accepts_every_split_the_chooser_returns(monic):
         g, h, cert = lifted_pair(f)
         weight = _residual_weight(f, g, h, rest)
         assert weight is None or weight > N, (f, rest.edge)
+        assert cert.exit_min_weight == weight, (f, rest.edge)
         if f.ring.kind == RESIDUE_RING:
             K = f.ring.residue_field()
             g_p, h_p, cert_p = lifted_pair(f.map_coefficients(K, f.ring.to_residue))
