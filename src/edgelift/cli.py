@@ -259,6 +259,13 @@ def cmd_padic(args):
     vars_ = expr.VarTable(("y",))
     plane_vars = expr.VarTable(("p", "y"))
     ring = residue_ring(args.prime, args.prec)
+    # The report prints p^k; refuse a modulus str() cannot convert before
+    # any lifting.  Limit 0 (or a Python without one) means no limit, and
+    # p^k >= 2^k > 10^limit once k > 4*limit, so p^k is not formed then.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (args.prec > 4 * limit or ring.modulus >= 10**limit):
+        raise ValueError(f"--prec {args.prec}: {args.prime}^{args.prec} has more than {limit} "
+                         "decimal digits, past this interpreter's int-to-string limit")
     f = expr.parse(_load_expression(args), vars_, ring)
     degree = max((e[0] for e in f.terms), default=0)
     pp = weier.PadicPoly(tuple(f.coeff((j,)) for j in range(degree + 1)),
@@ -267,7 +274,7 @@ def cmd_padic(args):
     report = {
         "p": args.prime,
         "k": args.prec,
-        "modulus": str(args.prime**args.prec),
+        "modulus": str(ring.modulus),
         "polygon_vertices": [list(v) for v in verdict.polygon.vertices],
     }
     if isinstance(verdict, weier.PadicFactors):

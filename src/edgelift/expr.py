@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import NotInvertible, RATIONALS
-from .poly import SparsePoly
+from .poly import SparsePoly, exp_scale
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -208,7 +208,7 @@ def _power(f, n):
     ((e, c),) = f.terms.items()
     ring = f.ring
     c = c**n if ring.kind == RATIONALS else pow(c, n, ring.modulus)
-    return SparsePoly(f.nvars, ring, {tuple(n * x for x in e): c})
+    return SparsePoly(f.nvars, ring, {exp_scale(e, n): c})
 
 
 def parse(text, vars_, ring):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .linalg import solve_integer
 from .lp import EQ, LE, feasible_point
-from .poly import exp_add, exp_dot, primitive_vector
+from .poly import exp_add, exp_dot, exp_neg, exp_scale, primitive_vector
 
 
 class NoMixedSigns(ValueError):
@@ -91,7 +91,7 @@ class WeightSystem:
                 raise NoIntegralPoint(f"weight {w} not in the image of the lattice")
             base, kernel = solved
             assert len(kernel) == 1 and primitive_vector(kernel[0]) in (
-                self.direction, tuple(-x for x in self.direction))
+                self.direction, exp_neg(self.direction))
             base = tuple(base)
         lo, hi = _orthant_range(base, self.direction)
         if lo is not None and max_last is not None:
@@ -107,7 +107,7 @@ class WeightSystem:
         if lo is None or lo > hi:
             return GradedSlice(w, ())
         points = []
-        point = tuple(b + lo * d for b, d in zip(base, self.direction))
+        point = exp_add(base, exp_scale(self.direction, lo))
         for _ in range(hi - lo + 1):
             points.append(point)
             point = exp_add(point, self.direction)

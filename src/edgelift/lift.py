@@ -19,7 +19,7 @@ from . import newton
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
-                   exp_neg, exp_sub, primitive_vector)
+                   exp_neg, exp_scale, exp_sub, primitive_vector)
 from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
 # Unused here, but perfbench/tracing.py patches this name in this module;
 # without it its --trace 1 does not install.
@@ -224,13 +224,8 @@ def edge_poly_from_univariate(ring, nvars, direction, coeffs, anchor=None):
     deg = degree(coeffs)
     if anchor is None:
         anchor = tuple(deg * max(0, -d) for d in direction)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if ring.is_zero(c):
-            continue
-        exponent = tuple(a + i * d for a, d in zip(anchor, direction))
-        terms[exponent] = c
-    return SparsePoly(nvars, ring, terms)
+    return SparsePoly(nvars, ring, {exp_add(anchor, exp_scale(direction, i)): c
+                                    for i, c in enumerate(coeffs) if not ring.is_zero(c)})
 
 
 # -- coprimality ----------------------------------------------------------------
@@ -245,7 +240,7 @@ def coprime_check(G, H):
     cH, uH, dH = _content_line(H)
     if dG is not None and dH is not None and dG != dH:
         raise NotEdgeHomogeneous("supports lie on non-parallel lines")
-    if any(min(a, b) > 0 for a, b in zip(cG, cH)):
+    if any(exp_min(cG, cH)):
         return False
     ring = G.ring
     g = pgcd(list(uG), list(uH), ring)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import EQ, GE, feasible_point
-from .poly import deglex_key, exp_sub, primitive_vector
+from .poly import deglex_key, exp_add, exp_dot, exp_neg, exp_scale, exp_sub, primitive_vector
 
 
 class ZeroPolynomial(ValueError):
@@ -47,12 +47,7 @@ class Edge:
     def lattice_points(self):
         """All integer points on the segment, from a to b in direction steps."""
         steps = _lattice_length(self.a, self.b, self.direction)
-        point = self.a
-        out = [point]
-        for _ in range(steps):
-            point = tuple(x + d for x, d in zip(point, self.direction))
-            out.append(point)
-        return out
+        return [exp_add(self.a, exp_scale(self.direction, t)) for t in range(steps + 1)]
 
     def to_dict(self):
         return {
@@ -169,7 +164,7 @@ def _edge_is_loose(a, b, vertices, nvars):
 def _descendant_flag(direction):
     """True when some orientation has nonnegative entries except a strictly
     negative last one."""
-    for c in (direction, tuple(-x for x in direction)):
+    for c in (direction, exp_neg(direction)):
         if c[-1] < 0 and all(x >= 0 for x in c[:-1]):
             return True
     return False
@@ -185,7 +180,7 @@ def face_of(np, xi):
         raise ValueError("face vectors must be nonnegative")
     if all(x == 0 for x in xi):
         raise ValueError("face vector must be nonzero")
-    values = [(sum(x * e for x, e in zip(xi, point)), point) for point in np.support]
+    values = [(exp_dot(xi, point), point) for point in np.support]
     best = min(v for v, _ in values)
     face = tuple(p for v, p in values if v == best)
     return face, all(x > 0 for x in xi)
@@ -206,6 +201,5 @@ def minkowski(np_a, np_b):
     """Polyhedron of the support sum; Newton polyhedra add under products."""
     if np_a.nvars != np_b.nvars:
         raise DimensionMismatch("operands have different dimensions")
-    points = {tuple(x + y for x, y in zip(p, q))
-              for p in np_a.support for q in np_b.support}
+    points = {exp_add(p, q) for p in np_a.support for q in np_b.support}
     return build_from_support(points, np_a.nvars)

@@ -4,11 +4,18 @@ Terms are stored as a dict mapping exponent tuples to nonzero scalars.  The
 canonical term order used for iteration, rendering and every deterministic
 choice in the package is degree-lexicographic: sort by total degree, ties
 broken lexicographically on the exponent tuple.
+
+The exp_* helpers are the one exponent kernel: every sum, difference,
+negation, scaling, componentwise minimum and dot product of exponent vectors
+in the package goes through them.  Each is one map() over the vectors, so the
+loop runs in C; like zip(), map() stops at the shorter vector.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 from .coeffs import RingDescriptor, RingMismatch
@@ -17,23 +24,27 @@ from .coeffs import RingDescriptor, RingMismatch
 # -- exponent-vector helpers -------------------------------------------------
 
 def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_neg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
+
+
+def exp_scale(a, n):
+    return tuple(map(operator.mul, a, repeat(n)))
 
 
 def exp_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def exp_min(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def deglex_key(e):
@@ -42,12 +53,10 @@ def deglex_key(e):
 
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries (orientation kept)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
+    return tuple(map(operator.floordiv, v, repeat(g)))
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,49 @@ def test_padic_zero_in_residue_ring_exits_3(text, capsys):
     assert json.loads(captured.err) == {"error": "the zero polynomial has no Newton polygon"}
 
 
+class LiftRan(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+@pytest.mark.parametrize("limit, prec, refused", [
+    (640, 2126, False),  # 2^2126 has 640 decimal digits
+    (640, 2127, True),   # 641 digits
+    (640, 2200, True),
+    (640, 4 * 640 + 1, True),  # past 4*limit, refused without forming 2^k
+    (0, 2200, False),    # 0 means no limit
+])
+def test_padic_refuses_a_modulus_it_cannot_print_before_lifting(limit, prec, refused,
+                                                                 monkeypatch, capsys):
+    def no_lift(pp):
+        raise LiftRan
+
+    def no_power(ring):
+        raise AssertionError("p^k formed")
+
+    monkeypatch.setattr(edgelift.weier, "padic_newton_factor", no_lift)
+    if prec > 4 * limit > 0:
+        monkeypatch.setattr(edgelift.coeffs.RingDescriptor, "modulus", property(no_power))
+    argv = ["padic", "-p", "2", "--prec", str(prec), F4]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        if refused:
+            assert main(argv) == 3
+        else:
+            with pytest.raises(LiftRan):
+                main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if refused:
+        assert json.loads(captured.err) == {"error": (
+            f"--prec {prec}: 2^{prec} has more than {limit} decimal digits, "
+            "past this interpreter's int-to-string limit")}
+
+
 def test_verify_pass_and_fail(capsys):
     code, report = run(capsys, [
         "verify", "x^2 - y^2", "x - y", "x + y", "--vars", "x,y", "--bound", "5"])

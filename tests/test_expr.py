@@ -97,6 +97,28 @@ def test_parse_render_round_trip(ring):
         assert parse(render(f, vt), vt, ring) == f
 
 
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 5)], ids=str)
+def test_parse_inverts_render_property(ring):
+    # Built inside the test so that it skips, rather than breaking this
+    # module, where hypothesis is not installed.
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    if ring.kind == "Q":
+        scalars = st.fractions(min_value=-99, max_value=99, max_denominator=20)
+    else:
+        scalars = st.integers(0, ring.modulus - 1)
+    vt = VarTable(("a", "b2", "c_3"))
+    exponents = st.tuples(*[st.integers(0, 12)] * 3)
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hp.given(st.dictionaries(exponents, scalars, max_size=8))
+    def check(terms):
+        f = SparsePoly(3, ring, terms)
+        assert parse(render(f, vt), vt, ring) == f
+
+    check()
+
+
 @pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(5, 3)], ids=str)
 def test_parse_matches_polynomial_arithmetic(ring):
     def const(q):

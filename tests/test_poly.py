@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from edgelift.coeffs import RingMismatch, prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse
-from edgelift.poly import SparsePoly, WeightedBound, exp_add
+from edgelift.poly import (SparsePoly, WeightedBound, exp_add, exp_dot, exp_min, exp_neg,
+                           exp_scale, exp_sub, primitive_vector)
 
 Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
@@ -153,3 +155,78 @@ def test_sorted_terms_degree_lex():
     f = parse("x^2 + y^2 + x*y + x + y + 1", VarTable(("x", "y")), Q)
     order = [e for e, _ in f.sorted_terms()]
     assert order == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+# -- property tests (hypothesis) ------------------------------------------------
+# Each test builds its check inside, so without hypothesis installed it skips
+# instead of taking the rest of this module down with it.
+
+def property_settings(hp):
+    return hp.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def poly_strategy(st, ring):
+    """Polynomials in 3 variables of at most 6 terms with exponents up to 4;
+    over Z/p^k the coefficients include the zero divisors."""
+    if ring.kind == "Q":
+        scalars = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    else:
+        scalars = st.integers(0, ring.modulus - 1)
+    exponents = st.tuples(*[st.integers(0, 4)] * 3)
+    return st.dictionaries(exponents, scalars, max_size=6).map(
+        lambda terms: SparsePoly(3, ring, terms))
+
+
+def test_exponent_kernel_matches_its_elementwise_definitions():
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    # mul_monomial takes negative exponents; vectors of unequal length stop
+    # at the shorter one, as zip() does.
+    vectors = st.lists(st.integers(-50, 50), max_size=5).map(tuple)
+
+    @property_settings(hp)
+    @hp.given(vectors, vectors, st.integers(-9, 9))
+    def check(a, b, n):
+        pairs = list(zip(a, b))
+        assert exp_add(a, b) == tuple(x + y for x, y in pairs)
+        assert exp_sub(a, b) == tuple(x - y for x, y in pairs)
+        assert exp_min(a, b) == tuple(min(x, y) for x, y in pairs)
+        assert exp_dot(a, b) == sum(x * y for x, y in pairs)
+        assert exp_neg(a) == tuple(-x for x in a)
+        assert exp_scale(a, n) == tuple(n * x for x in a)
+        g = 0
+        for x in a:
+            g = gcd(g, abs(x))
+        if g:
+            assert primitive_vector(a) == tuple(x // g for x in a)
+
+    check()
+
+
+def reference_product(f, g, trunc=None):
+    """f*g as a plain dict of exponent tuples, cut at ``trunc`` if given."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if trunc is None or sum(w * x for w, x in zip(trunc.weights, e)) <= trunc.bound:
+                out[e] = out.get(e, 0) + c1 * c2
+    ring = f.ring
+    return {e: ring.normalize(c) for e, c in out.items() if ring.normalize(c) != 0}
+
+
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 5)], ids=str)
+def test_products_match_a_reference_product(ring):
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    polys = poly_strategy(st, ring)
+    # any integer weights: the truncated product only needs them additive
+    bounds = st.builds(WeightedBound, st.tuples(*[st.integers(-2, 4)] * 3), st.integers(0, 24))
+
+    @property_settings(hp)
+    @hp.given(polys, polys, bounds)
+    def check(f, g, trunc):
+        assert f.mul(g).terms == reference_product(f, g)
+        assert f.mul(g, trunc).terms == reference_product(f, g, trunc)
+
+    check()
