@@ -97,11 +97,25 @@ def _load_expression(args):
     return args.expression
 
 
-def _setup(args):
+def _setup(args, full_residues=False):
+    """Ring, variables and polynomial; ``full_residues``: the report prints
+    residues mod p^k, so a --field str() cannot print is refused first."""
     ring = RingDescriptor.from_string(args.field)
+    if full_residues:
+        _refuse_unprintable_modulus(ring, f"--field {args.field}")
     vars_ = expr.VarTable.split(args.vars)
     f = expr.parse(_load_expression(args), vars_, ring)
     return ring, vars_, f
+
+
+def _refuse_unprintable_modulus(ring, option):
+    """ValueError naming ``option`` when str() cannot convert p^k.  Limit 0
+    (or a Python without one) means no limit, and p^k >= 2^k > 10^limit
+    once k > 4*limit, so p^k is not formed then."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and ring.k and (ring.k > 4 * limit or ring.modulus >= 10**limit):
+        raise ValueError(f"{option}: {ring.p}^{ring.k} has more than {limit} decimal digits, "
+                         "past this interpreter's int-to-string limit")
 
 
 def _emit(report, args):
@@ -224,7 +238,7 @@ def cmd_factor(args):
 
 def cmd_weierstrass(args):
     _check_bound(args)
-    ring, vars_, f = _setup(args)
+    ring, vars_, f = _setup(args, full_residues=True)
     wi = weier.WeierstrassInput(f)
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
@@ -259,13 +273,7 @@ def cmd_padic(args):
     vars_ = expr.VarTable(("y",))
     plane_vars = expr.VarTable(("p", "y"))
     ring = residue_ring(args.prime, args.prec)
-    # The report prints p^k; refuse a modulus str() cannot convert before
-    # any lifting.  Limit 0 (or a Python without one) means no limit, and
-    # p^k >= 2^k > 10^limit once k > 4*limit, so p^k is not formed then.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and (args.prec > 4 * limit or ring.modulus >= 10**limit):
-        raise ValueError(f"--prec {args.prec}: {args.prime}^{args.prec} has more than {limit} "
-                         "decimal digits, past this interpreter's int-to-string limit")
+    _refuse_unprintable_modulus(ring, f"--prec {args.prec}")  # the report prints p^k
     f = expr.parse(_load_expression(args), vars_, ring)
     degree = max((e[0] for e in f.terms), default=0)
     pp = weier.PadicPoly(tuple(f.coeff((j,)) for j in range(degree + 1)),

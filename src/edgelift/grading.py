@@ -13,6 +13,7 @@ parallel to c clipped to the nonnegative orthant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import solve_integer
 from .lp import EQ, LE, feasible_point
@@ -70,15 +71,15 @@ class WeightSystem:
         """The (n-1)-vector of scalar products; additive in alpha."""
         if len(alpha) != self.nvars:
             raise ValueError("exponent has wrong length")
-        return tuple(exp_dot(v, alpha) for v in self.basis[:-1])
+        return tuple([exp_dot(v, alpha) for v in self.basis[:-1]])
 
     def slice(self, w, anchor=None, max_last=None):
         """The graded piece of weight w: the lattice points of the line
         { omega = w } clipped to the nonnegative orthant, ordered by direction
-        steps.  With ``max_last`` only the points whose last coordinate is at
-        most max_last are built.  Raises NoIntegralPoint when the line has no
-        lattice point at all (as opposed to an empty intersection with the
-        orthant)."""
+        steps, as an interval (line_interval).  With ``max_last`` only the
+        points whose last coordinate is at most max_last are kept.  Raises
+        NoIntegralPoint when the line has no lattice point at all (as opposed
+        to an empty intersection with the orthant)."""
         w = tuple(w)
         if anchor is not None:
             anchor = tuple(anchor)
@@ -93,25 +94,7 @@ class WeightSystem:
             assert len(kernel) == 1 and primitive_vector(kernel[0]) in (
                 self.direction, exp_neg(self.direction))
             base = tuple(base)
-        lo, hi = _orthant_range(base, self.direction)
-        if lo is not None and max_last is not None:
-            # base[-1] + t*d <= max_last bounds t above for d > 0, below for
-            # d < 0, and for d = 0 keeps the whole line or none of it.
-            room, d = max_last - base[-1], self.direction[-1]
-            if d > 0:
-                hi = min(hi, room // d)
-            elif d < 0:
-                lo = max(lo, -(room // -d))
-            elif room < 0:
-                return GradedSlice(w, ())
-        if lo is None or lo > hi:
-            return GradedSlice(w, ())
-        points = []
-        point = exp_add(base, exp_scale(self.direction, lo))
-        for _ in range(hi - lo + 1):
-            points.append(point)
-            point = exp_add(point, self.direction)
-        return GradedSlice(w, tuple(points))
+        return GradedSlice(w, *line_interval(base, self.direction, max_last), self.direction)
 
     def in_monoid(self, z):
         """Membership in the monoid M of weights: the line omega = z must
@@ -131,37 +114,56 @@ class WeightSystem:
         return feasible_point(self.nvars, rows) is None
 
 
-@dataclass(frozen=True)
-class GradedSlice:
-    """Lattice points of one graded piece, in direction order; dim may be 0."""
+class GradedSlice(NamedTuple):
+    """One graded piece as an interval: its ``count`` lattice points are
+    first + i*direction for 0 <= i < count, in direction order; dim may be 0."""
 
     weight: tuple
-    points: tuple
+    first: tuple
+    count: int
+    direction: tuple
+
+    @property
+    def points(self):
+        return tuple(exp_add(self.first, exp_scale(self.direction, i))
+                     for i in range(self.count))
 
     @property
     def dim(self):
-        return len(self.points)
+        return self.count
 
 
-def _orthant_range(base, direction):
-    """Integer t-range with base + t*direction in the nonnegative orthant."""
+def line_interval(base, direction, max_last=None):
+    """(first, count): the points base + t*direction in the nonnegative
+    orthant (with ``max_last``, of last coordinate at most max_last) are
+    first + i*direction for 0 <= i < count; (base, 0) when there are none."""
     lo, hi = None, None
     for b, d in zip(base, direction):
-        if d == 0:
-            if b < 0:
-                return None, 0
-            continue
         # b + t*d >= 0: t >= ceil(-b/d) = -(b // d) for d > 0, and
         # t <= floor(-b/d) = b // -d for d < 0.
         if d > 0:
             t = -(b // d)
             lo = t if lo is None else max(lo, t)
-        else:
+        elif d < 0:
             t = b // -d
             hi = t if hi is None else min(hi, t)
+        elif b < 0:
+            return base, 0
     # Mixed signs in the direction bound the interval on both sides.
     assert lo is not None and hi is not None
-    return lo, hi
+    if max_last is not None:
+        # base[-1] + t*d <= max_last bounds t above for d > 0, below for
+        # d < 0, and for d = 0 keeps the whole line or none of it.
+        room, d = max_last - base[-1], direction[-1]
+        if d > 0:
+            hi = min(hi, room // d)
+        elif d < 0:
+            lo = max(lo, -(room // -d))
+        elif room < 0:
+            return base, 0
+    if lo > hi:
+        return base, 0
+    return exp_add(base, exp_scale(direction, lo)), hi - lo + 1
 
 
 def basis_reduction_steps(c):

@@ -278,8 +278,8 @@ def _uniform_weight(P, ws):
 
 
 def _cofactor_slices(G, H, w, z, p, ws, wr, caps=(None, None)):
-    """h'-columns and g'-columns of the cofactor system at the weight wr of
-    a point p, for G and H of weights w and z.
+    """The h'-column and g'-column slices of the cofactor system at the
+    weight wr of a point p, for G and H of weights w and z.
 
     The weight map is additive, so for terms alpha of G and beta of H the
     column slices are anchored at points they contain: p - alpha for h' and
@@ -287,9 +287,8 @@ def _cofactor_slices(G, H, w, z, p, ws, wr, caps=(None, None)):
     alpha = next(iter(G.terms))
     beta = next(iter(H.terms))
     h_cap, g_cap = caps
-    h_pts = ws.slice(exp_sub(wr, w), exp_sub(p, alpha), h_cap).points
-    g_pts = ws.slice(exp_sub(wr, z), exp_sub(p, beta), g_cap).points
-    return h_pts, g_pts
+    return (ws.slice(exp_sub(wr, w), exp_sub(p, alpha), h_cap),
+            ws.slice(exp_sub(wr, z), exp_sub(p, beta), g_cap))
 
 
 def solve_cofactor(G, H, r, ws, max_last_exp=None):
@@ -316,113 +315,149 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     wr = _uniform_weight(r, ws)
     slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr,
                               max_last_exp or (None, None))
-    return _solve_in_slices(G, H, r, wr, *slices, {})
+    parts = _solve_in_slices(G, H, r.terms.items(), wr, *slices, {})
+    return tuple(SparsePoly(r.nvars, ring, part) for part in parts)
 
 
-def _solve_in_slices(G, H, r, wr, h_pts, g_pts, systems):
-    """The cofactor solve of solve_cofactor on already enumerated columns.
+def _solve_in_slices(G, H, terms, wr, h_slice, g_slice, systems):
+    """The cofactor solve of solve_cofactor for the (point, coefficient)
+    pairs ``terms`` on the column slices h_slice, g_slice; returns the
+    nonzero terms of h' and g' as dicts.
 
-    The rows are the points the columns reach: every other point of r's
-    slice gives an all-zero row, and with free variables set to zero the
-    solution depends only on the column order.  The matrix depends only on
-    G, H and the column points up to a common translation, so ``systems``
-    maps the translated columns to their row-index map and elimination, and
-    a lift that keeps it across its steps eliminates each shape once."""
-    ring = r.ring
-    nvars = r.nvars
-    solution = None
-    if h_pts or g_pts:
-        origin = (h_pts or g_pts)[0]
-        shape = (tuple(exp_sub(p, origin) for p in h_pts),
-                 tuple(exp_sub(p, origin) for p in g_pts))
-        system = systems.get(shape)
-        if system is None:
-            system = systems[shape] = _cofactor_system(G, H, *shape)
-        rows, elimination = system
-        rhs = []
-        for point, c in r.terms.items():
-            i = rows.get(exp_sub(point, origin))
-            if i is None:
-                break
-            rhs.append((i, c))
-        else:
-            solution = _apply_elimination(ring, elimination, rhs)
+    The rows are the points the columns reach: every other point of the
+    right-hand side's slice gives an all-zero row, and with free variables
+    set to zero the solution depends only on the column order.  Relative to
+    the first column, the h'-columns are i*d and the g'-columns offset + i*d
+    for the edge direction d, so the matrix depends only on G, H and the key
+    (len_h, len_g, offset).  ``systems`` maps that key to the row-index map,
+    column points and elimination, and a lift that keeps it across its
+    steps eliminates each system once."""
+    len_h, len_g = h_slice.count, g_slice.count
+    if not (len_h or len_g):
+        raise Unsolvable(f"no cofactor solution at weight {wr}")
+    origin = h_slice.first if len_h else g_slice.first
+    key = (len_h, len_g, exp_sub(g_slice.first, origin) if len_g else None)
+    system = systems.get(key)
+    if system is None:
+        system = systems[key] = _cofactor_system(G, H, h_slice.direction, *key)
+    rows, columns, elimination = system
+    rhs = []
+    for point, c in terms:
+        i = rows.get(exp_sub(point, origin))
+        if i is None:
+            raise Unsolvable(f"no cofactor solution at weight {wr}")
+        rhs.append((i, c))
+    solution = _apply_elimination(G.ring, elimination, rhs)
     if solution is None:
         raise Unsolvable(f"no cofactor solution at weight {wr}")
-    h_part = SparsePoly(nvars, ring,
-                        {p: c for p, c in zip(h_pts, solution[:len(h_pts)])})
-    g_part = SparsePoly(nvars, ring,
-                        {p: c for p, c in zip(g_pts, solution[len(h_pts):])})
-    return h_part, g_part
+    parts = {}, {}   # h' from the first len_h columns, then g'
+    for j, c in enumerate(solution):
+        if c:
+            parts[j >= len_h][exp_add(origin, columns[j])] = c
+    return parts
 
 
-def _cofactor_system(G, H, h_pts, g_pts):
-    """Row-index map and elimination of the cofactor matrix on these columns:
-    column (F, point) holds F's coefficients at the rows e + point."""
+def _cofactor_system(G, H, direction, len_h, len_g, offset):
+    """Row-index map, column points and elimination of the cofactor matrix
+    with the columns (G, i*direction) for i < len_h and (H, offset +
+    i*direction) for i < len_g: column (F, point) holds F's coefficients at
+    the rows e + point."""
     ring = G.ring
-    columns = [(G, point) for point in h_pts] + [(H, point) for point in g_pts]
+    columns = ([exp_scale(direction, i) for i in range(len_h)]
+               + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
     rows = {}
     entries = [(rows.setdefault(exp_add(e, point), len(rows)), col, c)
-               for col, (factor, point) in enumerate(columns)
-               for e, c in factor.terms.items()]
+               for col, point in enumerate(columns)
+               for e, c in (G if col < len_h else H).terms.items()]
     matrix = [[ring.zero()] * len(columns) for _ in rows]
     for i, col, c in entries:
         matrix[i][col] = c
-    return rows, _eliminate_field(ring, matrix)
+    return rows, columns, _eliminate_field(ring, matrix)
 
 
 # -- the lifting loop -------------------------------------------------------------
 
-def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda P, ring: P,
+def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c),
               caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at weight ``N`` in the edge's own
     weights ws.xi0 (None: not truncated), is one exponent -> coefficient
-    dict, formed once; each correction subtracts its two truncated products
-    from it in place, and g and h grow in place.  ``view(e, c)`` maps a
-    residual term to the term the steps solve for: the identity by default,
-    where f lives over the residue field of G and H (see
-    _lift_over_residue_field), and the plane digit for ``padic``, which alone
-    also passes ``embed(P, f.ring)`` to carry a solution back into f's ring.
-    The visible terms sit in buckets by weight under a heap of weight keys,
-    and only the exponents a product touched are viewed and bucketed again,
-    so a step costs about the products it forms.  ``caps`` bounds the last
-    coordinates of every step's (h', g') columns; a step inconsistent within
-    them is Unsolvable.  G and H are fixed, so a system eliminated once
-    serves every later step with the same columns up to translation; nothing
-    is kept past the call.  The exit weight comes from capped products.
+    dict, formed once; each step subtracts its two truncated products from
+    it in place, and g, h and the step's solution are plain dicts.
+    ``view(e, c)`` maps a residual term to the term the steps solve for: the
+    identity by default, where f lives over the residue field of G and H
+    (see _lift_over_residue_field), and the plane digit for ``padic``, which
+    alone also passes ``embed(e, c)`` to carry a solved term back into f's
+    ring.  The visible terms sit in buckets by weight under a heap of weight
+    keys, and only the exponents a product touched are viewed and bucketed
+    again.  Each step's g' and h' are one weight class each, no lighter than
+    any before, so a bounded lift appends them to g and h in weight order
+    and pairs them only with the prefix of the other factor under N.
+    ``caps`` bounds the last coordinates of every step's (h', g') columns; a
+    step inconsistent within them is Unsolvable.  A system eliminated once
+    serves every later step with its key; nothing is kept past the call.
+    The exit weight comes from capped products.
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
-    # copies, as they grow in place
-    g, h = (SparsePoly(f.nvars, ring, embed(P, ring).terms) for P in (G, H))
+    wz = exp_add(w, z)
+    g, h = {}, {}
+    g_order, h_order = [], []   # (xi0 weight, exponent), by weight when bounded
     bound = None if N is None else WeightedBound(ws.xi0, N)
     cert = LiftCertificate(w, z, N)
     previous = None
     systems = {}
-    residual = (f - g.mul(h, bound)).truncate(bound).terms
     buckets = {}   # weight -> {residual exponent: its visible term}
     keys = []      # heap of the deglex keys of the weights in buckets
     placed = {}    # residual exponent -> the weight of its bucket
     weights = {}   # visible exponent -> its weight, computed once
 
-    def place(exponents):
-        for e in exponents:
+    def grow(terms, order, added, weight):
+        """terms += added, of xi0 weight ``weight``; an exponent stays once
+        added, zero or not, so it is ordered once."""
+        for e, c in added:
+            if e not in terms:
+                order.append((weight, e))
+            terms[e] = ring.add(terms.get(e, 0), c)
+
+    def multiply(delta, left, weight, right, order):
+        """delta += left * right, for left's terms of xi0 weight ``weight``."""
+        pairs = []
+        for weight2, e2 in order:
+            if bound is not None and weight + weight2 > N:
+                break
+            pairs.append((e2, right[e2]))
+        for e1, c1 in left:
+            for e2, c2 in pairs:
+                e = exp_add(e1, e2)
+                delta[e] = delta.get(e, 0) + c1 * c2
+
+    def place(delta):
+        """residual -= delta, then view and bucket the exponents it touched."""
+        for e, c in delta.items():
             if e in placed:
                 del buckets[placed.pop(e)][e]
-            if e in residual:
-                seen, c = view(e, residual[e])
-                if seen not in weights:
-                    weights[seen] = ws.weight(seen)
-                weight = placed[e] = weights[seen]
-                if weight not in buckets:  # the key's first entry is the sum <xi0, e>
-                    buckets[weight] = {}
-                    heappush(keys, deglex_key(weight))
-                buckets[weight][e] = seen, c
+            c = ring.sub(residual.get(e, 0), c)
+            if not c:
+                residual.pop(e, None)
+                continue
+            residual[e] = c
+            seen, c = view(e, c)
+            if seen not in weights:
+                weights[seen] = ws.weight(seen)
+            weight = placed[e] = weights[seen]
+            if weight not in buckets:  # the key's first entry is the sum <xi0, e>
+                buckets[weight] = {}
+                heappush(keys, deglex_key(weight))
+            buckets[weight][e] = seen, c
 
-    place(residual)
+    grow(g, g_order, [embed(e, c) for e, c in G.terms.items()], sum(w))
+    grow(h, h_order, [embed(e, c) for e, c in H.terms.items()], sum(z))
+    start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
+    residual = (f - start).truncate(bound).terms
+    place(dict.fromkeys(residual, 0))   # bucket the residual as it stands
     while True:
         while keys and not buckets[keys[0][1]]:
             del buckets[heappop(keys)[1]]
@@ -434,35 +469,29 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda P, ring: P,
         if previous is not None and keys[0] <= previous:
             raise Unsolvable(f"residual weight did not increase at {wmin}")
         previous = keys[0]
-        step = exp_sub(wmin, exp_add(w, z))
+        step = exp_sub(wmin, wz)
         if any(x < 0 for x in step):
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
-        initial = SparsePoly(G.nvars, G.ring, buckets[wmin].values())
-        h_pts, g_pts = _cofactor_slices(G, H, w, z, next(iter(initial.terms)), ws, wmin, caps)
-        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_pts, g_pts, systems)
-        cert.steps.append(LiftStep(step, (len(h_pts), len(g_pts)), sum(wmin),
+        initial = buckets[wmin].values()
+        h_slice, g_slice = _cofactor_slices(G, H, w, z, next(iter(initial))[0], ws, wmin, caps)
+        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_slice, g_slice, systems)
+        total = sum(wmin)
+        cert.steps.append(LiftStep(step, (h_slice.count, g_slice.count), total,
                                    solved=(len(h_part), len(g_part))))
-        g_part = embed(g_part, ring)
-        h_part = embed(h_part, ring)
+        # g' and h' weigh wmin - z and wmin - w, and
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
-        _add_into(h.terms, h_part, ring.add)
-        products = (g_part.mul(h, bound), g.mul(h_part, bound))
-        _add_into(g.terms, g_part, ring.add)
-        for product in products:
-            _add_into(residual, product, ring.sub)
-        place(products[0].terms.keys() | products[1].terms.keys())
+        g_weight, h_weight = total - sum(z), total - sum(w)
+        g_part = [embed(e, c) for e, c in g_part.items()]
+        h_part = [embed(e, c) for e, c in h_part.items()]
+        grow(h, h_order, h_part, h_weight)
+        delta = {}
+        multiply(delta, g_part, g_weight, h, h_order)
+        multiply(delta, h_part, h_weight, g, g_order)
+        grow(g, g_order, g_part, g_weight)
+        place(delta)
+    g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
     cert.exit_min_weight = _exit_weight(f, g, h, ws.xi0, N, view)
     return g, h, cert
-
-
-def _add_into(terms, P, op):
-    """terms[e] = op(terms[e], c) in place for each term c*x^e of P; zeros drop."""
-    for e, c in P.terms.items():
-        c = op(terms.get(e, 0), c)
-        if c == 0:
-            del terms[e]
-        else:
-            terms[e] = c
 
 
 def _exit_weight(f, g, h, xi0, N, view):

@@ -258,11 +258,18 @@ def _plane_term(ring):
     return term
 
 
-def _embed_plane(P, ring):
-    """Map a plane F_p-polynomial into ring = Z/p^k[y] by canonical residues:
-    lambda * x^v * y^j becomes int(lambda) * p^v * y^j."""
-    return SparsePoly(1, ring, (((j,), int(lam) * ring.p**v)
-                                for (v, j), lam in P.terms.items()))
+def _embed_term(ring):
+    """Carry a plane F_p-term into ring = Z/p^k[y] by canonical residues:
+    lambda * x^v * y^j becomes int(lambda) * p^v * y^j, with each p^v
+    formed once per map."""
+    powers = {}
+
+    def term(e, lam):
+        v, j = e
+        if v not in powers:
+            powers[v] = ring.p**v % ring.modulus
+        return (j,), int(lam) * powers[v]
+    return term
 
 
 @dataclass(frozen=True)
@@ -329,7 +336,7 @@ def _padic_lift(pp, rest, split):
     d_monic = max(j for _, j in split.G.terms)
     caps = (deg_y - d_monic, d_monic)
     g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane_term(f.ring),
-                           _embed_plane, caps)
+                           _embed_term(f.ring), caps)
     assert g * h == f, "p-adic product check failed"
     cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
     for step in cert.steps:

@@ -183,6 +183,67 @@ def test_padic_refuses_a_modulus_it_cannot_print_before_lifting(limit, prec, ref
             "past this interpreter's int-to-string limit")}
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+@pytest.mark.parametrize("limit, k, refused", [
+    (640, 1341, False),  # 3^1341 has 640 decimal digits
+    (640, 1342, True),   # 641 digits
+    (640, 4 * 640 + 1, True),  # past 4*limit, refused without forming 3^k
+    (0, 9100, False),    # 0 means no limit
+])
+def test_weierstrass_refuses_a_field_it_cannot_print_before_parsing(limit, k, refused,
+                                                                   monkeypatch, capsys):
+    """weierstrass prints residues mod p^k of full size, so a --field whose
+    p^k str() cannot convert exits 3 before the expression is parsed."""
+    def no_lift(*args):
+        raise LiftRan
+
+    def no_parse(*args):
+        raise AssertionError("the expression was parsed")
+
+    def no_power(ring):
+        raise AssertionError("p^k formed")
+
+    monkeypatch.setattr(edgelift.weier, "lift_monic", no_lift)
+    if refused:
+        monkeypatch.setattr(edgelift.expr, "parse", no_parse)
+    if k > 4 * limit > 0:
+        monkeypatch.setattr(edgelift.coeffs.RingDescriptor, "modulus", property(no_power))
+    argv = ["weierstrass", "--field", f"Z/3^{k}", "--vars", "x,y", "--bound", "60",
+            "y^2 - x^2 - x^3"]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        if refused:
+            assert main(argv) == 3
+        else:
+            with pytest.raises(LiftRan):
+                main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if refused:
+        assert json.loads(captured.err) == {"error": (
+            f"--field Z/3^{k}: 3^{k} has more than {limit} decimal digits, "
+            "past this interpreter's int-to-string limit")}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+def test_factor_over_a_field_past_the_int_string_limit_still_prints(capsys):
+    """factor prints residues of an F_p lift, so its --field has no such
+    limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, report = run(capsys, ["factor", "--field", "Z/3^1342", "--vars", "x,y",
+                                    "--bound", "10", "y^2 - x^2 - x^3"])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0 and report["verdict"] == "reducible"
+
+
 def test_verify_pass_and_fail(capsys):
     code, report = run(capsys, [
         "verify", "x^2 - y^2", "x - y", "x + y", "--vars", "x,y", "--bound", "5"])

@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 
 from edgelift.grading import (NoIntegralPoint, NoMixedSigns, WeightSystem,
-                              basis_reduction_steps, orthogonal_basis)
-from edgelift.poly import exp_add, exp_dot
+                              basis_reduction_steps, line_interval, orthogonal_basis)
+from edgelift.poly import exp_add, exp_dot, primitive_vector
 
 from oracles import box_slice_points, int_det
 
@@ -145,6 +145,40 @@ def test_slice_cap_equals_filtered_slice():
             assert capped.points == tuple(p for p in full if p[-1] <= cap)
         signs[(c[-1] > 0) - (c[-1] < 0)] += 1
     assert min(signs.values()) >= 3
+
+@pytest.mark.parametrize("last", [-1, 0, 1], ids=["last<0", "last=0", "last>0"])
+def test_interval_slice_is_the_clipped_line(last):
+    """line_interval, and the slice built from it, give exactly the points
+    anchor + t*c in the orthant (and under the cap), in order of t, for
+    mixed-sign directions c whose last entry has the given sign; anchors
+    off the orthant and low caps give empty slices."""
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    last_entry = {-1: st.integers(-6, -1), 0: st.just(0), 1: st.integers(1, 6)}[last]
+    directions = st.integers(2, 4).flatmap(
+        lambda n: st.tuples(*[st.integers(-6, 6)] * (n - 1), last_entry)).filter(
+        lambda c: min(c) < 0 < max(c)).map(primitive_vector)
+    nonempty = set()
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hp.given(directions, st.data())
+    def check(c, data):
+        anchor = data.draw(st.tuples(*[st.integers(-8, 12)] * len(c)))
+        cap = data.draw(st.none() | st.integers(-3, 15))
+        ws = orthogonal_basis(c)
+        # every coordinate is in -8..12 and every nonzero |c_i| >= 1, so the
+        # orthant points of the line have |t| <= 12
+        line = [tuple(a + t * x for a, x in zip(anchor, c)) for t in range(-30, 31)]
+        expected = tuple(p for p in line if min(p) >= 0 and (cap is None or p[-1] <= cap))
+        piece = ws.slice(ws.weight(anchor), anchor, cap)
+        assert piece.points == expected and piece.dim == len(expected)
+        first, count = line_interval(anchor, c, cap)
+        assert count == len(expected) and (not count or first == expected[0])
+        nonempty.add(count > 0)
+
+    check()
+    assert nonempty == {False, True}
+
 
 def test_in_monoid_basics():
     ws = weight_32()

@@ -548,10 +548,10 @@ def test_factor_edge_univariate_unsupported_ring():
 
 
 def test_lift_steps_enumerate_each_slice_once(monkeypatch):
-    """Each lift step enumerates its two column slices once, anchored at a
-    residual term, so the loop runs no Hermite solve; the rows are the points
-    the columns reach, so the row slice is never enumerated.  A capped
-    p-adic column slice holds no point above its cap."""
+    """Each lift step takes its two column slices from WeightSystem.slice
+    once, anchored at a residual term, so the loop runs no Hermite solve;
+    the rows are the points the columns reach, so the row slice is never
+    taken.  A capped p-adic column slice holds no point above its cap."""
     import edgelift.grading as grading
     from edgelift.grading import WeightSystem
     from edgelift.weier import PadicPoly, padic_newton_factor
@@ -622,6 +622,79 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
         assert (len(eliminations), len(steps)) == (2, 44)
 
 
+def test_a_lift_step_builds_no_sparse_poly(monkeypatch):
+    """The loop keeps its residual, g, h and each step's solution as plain
+    dicts, so the SparsePoly constructions in _run_lift do not grow with the
+    number of steps.  The exit weight's capped products are left out: their
+    number depends on where the exit weight lies, not on the steps."""
+    import edgelift.lift as lift
+    import edgelift.weier as weier
+    from edgelift.weier import PadicPoly, padic_newton_factor
+
+    counting, built = [False], [0]
+    init, run, exit_weight = SparsePoly.__init__, lift._run_lift, lift._exit_weight
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += counting[0]
+        init(self, *args, **kwargs)
+
+    def within(flag, fn):
+        def wrapped(*args, **kwargs):
+            saved, counting[0] = counting[0], flag
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counting[0] = saved
+        return wrapped
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting_init)
+    monkeypatch.setattr(lift, "_exit_weight", within(False, exit_weight))
+    monkeypatch.setattr(lift, "_run_lift", within(True, run))
+    monkeypatch.setattr(weier, "_run_lift", lift._run_lift)
+
+    def padic(k):
+        built[0] = 0
+        steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, k)).certificate.steps
+        return len(steps), built[0]
+
+    f = parse(EXAMPLE1, XYZ, Q)
+    rest = edge_restriction(f, build(f).edges[0])
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+
+    def example1(N):
+        built[0] = 0
+        return len(lift_factorization(f, rest, split, N)[2].steps), built[0]
+
+    for lift_at, small, large in [(padic, 32, 64), (example1, 40, 120)]:
+        (few, built_few), (many, built_many) = lift_at(small), lift_at(large)
+        assert few < many and built_few == built_many
+    assert padic(32)[0] == 44
+
+
+def _products_at_the_bound(f, rest, g, h, cert, bound):
+    """The exponents of f within the bound and of every product a bounded
+    lift forms: G*H, then per step g'*(h + h') and g*h', truncated at the
+    bound.  Each step's g' and h' are the terms of g and h in the weight
+    classes step.weight + w and step.weight + z."""
+    ws = rest.ws
+
+    def layer(P, weight):
+        return SparsePoly(P.nvars, P.ring,
+                          {e: c for e, c in P.terms.items() if ws.weight(e) == weight})
+
+    touched = set(f.truncate(bound).terms)
+    g_sum, h_sum = layer(g, cert.w), layer(h, cert.z)
+    touched.update(g_sum.mul(h_sum, bound).terms)
+    for step in cert.steps:
+        g_part = layer(g, exp_add(step.weight, cert.w))
+        h_part = layer(h, exp_add(step.weight, cert.z))
+        h_sum = h_sum + h_part
+        touched.update(g_part.mul(h_sum, bound).terms)
+        touched.update(g_sum.mul(h_part, bound).terms)
+        g_sum = g_sum + g_part
+    return touched
+
+
 @pytest.mark.parametrize("N", [40, 120])
 def test_a_lift_weighs_each_residual_exponent_once(monkeypatch, N):
     """The loop computes the weight of each exponent the residual holds
@@ -633,23 +706,17 @@ def test_a_lift_weighs_each_residual_exponent_once(monkeypatch, N):
     f = parse(EXAMPLE1, XYZ, Q)
     rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
-    bound = WeightedBound(rest.ws.xi0, N)
-    calls, touched = [0], set(f.truncate(bound).terms)
-    weight, mul = WeightSystem.weight, SparsePoly.mul
+    calls = [0]
+    weight = WeightSystem.weight
 
     def counting_weight(self, alpha):
         calls[0] += 1
         return weight(self, alpha)
 
-    def recording_mul(self, other, trunc=None):
-        product = mul(self, other, trunc)
-        if trunc == bound:
-            touched.update(product.terms)
-        return product
-
     monkeypatch.setattr(WeightSystem, "weight", counting_weight)
-    monkeypatch.setattr(SparsePoly, "mul", recording_mul)
-    _, _, cert = lift_factorization(f, rest, split, N)
+    g, h, cert = lift_factorization(f, rest, split, N)
+    monkeypatch.undo()
+    touched = _products_at_the_bound(f, rest, g, h, cert, WeightedBound(rest.ws.xi0, N))
     assert len(cert.steps) >= 4
     assert calls[0] <= len(split.G) + len(split.H) + len(touched) + 2 * len(cert.steps)
 
