@@ -251,11 +251,13 @@ def cmd_weierstrass(args):
     if isinstance(split, lift.EdgePrimePower):
         return _power_report("no_coprime_split", split, vars_), EXIT_INCONCLUSIVE
     gbar, hbar, cert = weier.lift_monic(wi, rest, split, args.bound)
-    bound = WeightedBound(rest.ws.xi0, args.bound)
     d = max(e[-1] for e in split.G.terms)
-    bound_x = weier.weight_to_x_bound(rest.ws, args.bound)
-    unit, g = weier.weierstrass_normalize(gbar, d, bound_x)
-    h, remainder = weier.poly_divide(f, g, bound_x)
+    # the lift determines g to xi0 weight N - wt(H), h to N - wt(G) and the unit
+    # to N - wt(G) - wt(H); below the edge's weight the caps keep G, H and 1
+    N, wt_g, wt_h, xi0 = args.bound, sum(cert.w), sum(cert.z), rest.ws.xi0
+    unit, g = weier.weierstrass_normalize(gbar, d, WeightedBound(xi0, max(N - wt_h, wt_g)))
+    h, remainder = weier.poly_divide(f, g, WeightedBound(xi0, max(N, wt_g + wt_h)))
+    bound = WeightedBound(xi0, N)
     residual = (f - g.mul(h, bound)).truncate(bound)
     return {
         "verdict": "factored",

@@ -12,8 +12,6 @@ canonical-residue representatives, and a coefficient lambda at the point
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from fractions import Fraction
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
@@ -73,10 +71,6 @@ def lift_monic(wi, rest, split, N):
 
 # -- Weierstrass preparation -----------------------------------------------------
 
-def _x_degree(e):
-    return sum(e[:-1])
-
-
 def _y_below(nvars, d):
     """Cap that keeps y-degree < d."""
     return WeightedBound((0,) * (nvars - 1) + (1,), d - 1)
@@ -86,7 +80,7 @@ def _x_parts(f):
     """Group terms by total x-degree; values are SparsePoly slices."""
     buckets = {}
     for e, c in f.terms.items():
-        buckets.setdefault(_x_degree(e), {})[e] = c
+        buckets.setdefault(sum(e[:-1]), {})[e] = c
     return {m: SparsePoly(f.nvars, f.ring, terms) for m, terms in buckets.items()}
 
 
@@ -118,20 +112,30 @@ def _series_inverse_mod_y(v, d, nvars, ring):
     return out
 
 
-def weierstrass_normalize(gbar, d, bound_x):
+def _top_x_order(cap):
+    """The largest x-order a cap admits; x-weights > 0 and y-weight >= 0."""
+    *x_weights, y_weight = cap.weights
+    if min(x_weights) <= 0 or y_weight < 0:
+        raise ValueError("a tail cap needs positive x-weights and a nonnegative y-weight")
+    return cap.bound // min(x_weights)
+
+
+def weierstrass_normalize(gbar, d, cap):
     """Split gbar = u * g with g monic in y of degree d >= 1 whose lower
     coefficients vanish at x = 0, and u a unit, order by order in total
-    x-degree up to ``bound_x``.
+    x-degree, forming only the terms ``cap`` (a WeightedBound) admits.
 
     At x-order m the equation reads  v * g_m + u_m * y^d = R_m  with
     v = gbar(0, y)/y^d, so g_m is (v^{-1} R_m) mod y^d and u_m the exact
-    quotient of the rest by y^d.
+    quotient of the rest by y^d.  With no term of gbar lighter than y^d, g is
+    exact up to the cap and u up to the cap minus the weight of y^d.
     """
     if d < 1:
         raise ValueError("the monic part needs y-degree d >= 1")
+    top_order = _top_x_order(cap)
     ring = gbar.ring
     nvars = gbar.nvars
-    parts = _x_parts(gbar)
+    parts = _x_parts(gbar.truncate(cap))
     zero_part = parts.get(0, SparsePoly.zero(nvars, ring))
     if not zero_part:
         raise NotPrepared("the series vanishes at x = 0")
@@ -143,19 +147,18 @@ def weierstrass_normalize(gbar, d, bound_x):
     v_inv = _series_inverse_mod_y(v, d, nvars, ring)
     below_d = _y_below(nvars, d)
 
-    ypow_d = SparsePoly.monomial(nvars, ring, (0,) * (nvars - 1) + (d,))
-    g_parts = {0: ypow_d}
+    g_parts = {0: SparsePoly.monomial(nvars, ring, (0,) * (nvars - 1) + (d,))}
     u_parts = {0: v}
-    for m in range(1, bound_x + 1):
+    for m in range(1, top_order + 1):
         acc = dict(parts[m].terms) if m in parts else {}
         for i in range(1, m):
             if i in u_parts and (m - i) in g_parts:
-                for e, c in (u_parts[i] * g_parts[m - i]).terms.items():
+                for e, c in u_parts[i].mul(g_parts[m - i], cap).terms.items():
                     acc[e] = acc.get(e, 0) - c
         acc = SparsePoly(nvars, ring, acc)
         # acc = v*g_m + u_m*y^d
-        g_m = v_inv.mul(acc, below_d)
-        u_m_low, u_m = _y_split(acc - v * g_m, d)
+        g_m = v_inv.mul(acc, below_d).truncate(cap)
+        u_m_low, u_m = _y_split(acc - v.mul(g_m, cap), d)
         assert not u_m_low, "Weierstrass division left a low-order remainder"
         if g_m:
             g_parts[m] = g_m
@@ -169,19 +172,19 @@ def _join(parts, nvars, ring):
     return SparsePoly(nvars, ring, [t for part in parts for t in part.terms.items()])
 
 
-def poly_divide(f, g, bound_x):
-    """Division f = q*g + r with deg_y r < deg_y g, exact in y, truncated in
-    total x-degree at ``bound_x``.  The divisor must be monic in y."""
+def poly_divide(f, g, cap):
+    """Division f = q*g + r with deg_y r < deg_y g, exact in y, forming only
+    the terms the tail cap ``cap`` admits.  The divisor must be monic in y."""
+    _top_x_order(cap)
     ring = f.ring
     nvars = f.nvars
     d, top = _top_in_last(g)
     if top != ring.one():
         raise NotMonic("the divisor must be monic in the last variable")
-    x_cap = WeightedBound((1,) * (nvars - 1) + (0,), bound_x)  # total x-degree <= bound_x
     # each step's quotient terms share one y-degree, lower than the last's
     q_parts = []
-    r = f.truncate(x_cap)
-    g = g.truncate(x_cap)
+    r = f.truncate(cap)
+    g = g.truncate(cap)
     while r:
         dy = max(e[-1] for e in r.terms)
         if dy < d:
@@ -190,13 +193,8 @@ def poly_divide(f, g, bound_x):
                           {e[:-1] + (e[-1] - d,): c for e, c in r.terms.items()
                            if e[-1] == dy})
         q_parts.append(lead)
-        r = r - lead.mul(g, x_cap)
+        r = r - lead.mul(g, cap)
     return _join(q_parts, nvars, ring), r
-
-
-def weight_to_x_bound(ws, bound):
-    """Total-x-degree bound equivalent to a weighted bound: N / min(xi0)."""
-    return ceil(Fraction(bound, min(ws.xi0)))
 
 
 # -- the p-adic specialization ----------------------------------------------------

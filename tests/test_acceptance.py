@@ -23,7 +23,7 @@ from edgelift.unifactor import pmul
 from edgelift.weier import (NoCoprimeSplit, PadicFactors, PadicPoly,
                             WeierstrassInput, descendant_loose_edges,
                             lift_monic, padic_newton_factor, poly_divide,
-                            weierstrass_normalize, weight_to_x_bound)
+                            weierstrass_normalize)
 
 from edgelift.cli import main as cli_main
 
@@ -135,10 +135,10 @@ def test_criterion_3_example3():
         gbar, hbar, _ = lift_monic(wi, rest, split, n)
         results[n] = (gbar, hbar)
     gbar, hbar = results[60]
-    bx = weight_to_x_bound(ws, 60)
-    unit, g = weierstrass_normalize(gbar, 1, bx)
+    bx = -(-60 // min(ws.xi0))
+    unit, g = weierstrass_normalize(gbar, 1, WeightedBound((1, 1, 0), bx))
     assert max(e[-1] for e in g.terms) == 1 and g.coeff((0, 0, 1)) == 1
-    h, _ = poly_divide(f, g, bx)
+    h, _ = poly_divide(f, g, WeightedBound((1, 1, 0), bx))
     bound60 = WeightedBound(ws.xi0, 60)
     assert (f - g * h).truncate(bound60) == SparsePoly.zero(3, Q)
 

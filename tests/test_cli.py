@@ -9,7 +9,9 @@ import pytest
 import edgelift
 from edgelift import VarTable, lift, newton, parse, rationals
 from edgelift.cli import main
+from edgelift.coeffs import RingDescriptor
 from edgelift.grading import orthogonal_basis
+from edgelift.poly import exp_dot
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -17,6 +19,7 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 EXAMPLE1 = "x^6*y^2 - z^4 + x*y*z^4 - x^7*y^5*z^2"
 EXAMPLE2 = "x*y*z + x^3*y^3 + x^3*z^3 + y^3*z^3"
 DIVISIBILITY_F = "x3^3 + x1*x2*x3^2 + x1*x2*x3 + x1^2*x2^2"
+EXAMPLE3 = "y^8 + (x1^3 - x2^2)*y^3 + x1^5*x2^4*y^2 - x1^15*x2^18"
 F4 = "y^3 + 270*y + 540"
 
 
@@ -275,6 +278,51 @@ def test_weierstrass_command(capsys):
     assert report["division_remainder"] == "0"
 
 
+@pytest.mark.parametrize("bound", ["0", "32"])
+def test_weierstrass_below_the_edge_weight_prints_the_split(bound, capsys):
+    # Example 3's edge weighs wt(G) + wt(H) = 12 + 21 = 33 in xi0 = (1, 1, 12):
+    # a bound below it determines nothing past G, H and the unit 1
+    code, report = run(capsys, ["weierstrass", EXAMPLE3, "--vars", "x1,x2,y",
+                                "--bound", bound])
+    assert code == 0
+    assert (sum(report["certificate"]["w"]), sum(report["certificate"]["z"])) == (12, 21)
+    assert (report["g"], report["h"], report["unit"]) == (
+        "y - x1^5*x2^7", "x1^5*x2^4*y + x1^10*x2^11", "1")
+    assert report["division_remainder"] == report["residual_within_bound"] == "0"
+
+
+SPLIT_ARGV = ["--vars", "x,y", "--split", "y-x,y+x", "y^2 - x^2 + x^3"]
+
+
+@pytest.mark.parametrize("command, argv, bounds", [
+    ("weierstrass", ["--vars", "x1,x2,y", EXAMPLE3], (40, 60)),
+    ("weierstrass", ["--vars", "x1,x2,y", EXAMPLE3], (60, 90)),
+    ("weierstrass", SPLIT_ARGV, (6, 21)),
+    ("weierstrass", ["--field", "F7"] + SPLIT_ARGV, (6, 21)),
+    ("weierstrass", ["--field", "Z/5^3"] + SPLIT_ARGV, (6, 21)),
+    ("factor", [EXAMPLE1], (40, 55)),
+    ("factor", SPLIT_ARGV, (6, 21)),
+    ("factor", ["--field", "F7"] + SPLIT_ARGV, (6, 21)),
+    ("factor", ["--field", "Z/5^3"] + SPLIT_ARGV, (6, 21)),
+], ids=["weierstrass-example3-40", "weierstrass-example3-60", "weierstrass-Q", "weierstrass-F7",
+        "weierstrass-Z5^3", "factor-example1", "factor-Q", "factor-F7", "factor-Z5^3"])
+def test_printed_factors_are_prefixes_across_bounds(command, argv, bounds, capsys):
+    # At bound N, in the xi0 weights of the lifted edge, g is determined up to
+    # N - wt(H), h up to N - wt(G) and the Weierstrass unit up to
+    # N - wt(G) - wt(H): every printed term is a term of the output at a
+    # larger bound, and every term of that output up to these weights is printed.
+    names = (argv[argv.index("--vars") + 1] if "--vars" in argv else "x,y,z").split(",")
+    ring = RingDescriptor.from_string(argv[argv.index("--field") + 1] if "--field" in argv
+                                      else "Q")
+    report, larger = (run(capsys, [command, *argv, "--bound", str(n)])[1] for n in bounds)
+    xi0 = orthogonal_basis(report["edge"]["dir"]).xi0
+    wt_g, wt_h = sum(report["certificate"]["w"]), sum(report["certificate"]["z"])
+    determined = {"g": bounds[0] - wt_h, "h": bounds[0] - wt_g, "unit": bounds[0] - wt_g - wt_h}
+    for key in ("g", "h", "unit") if command == "weierstrass" else ("g", "h"):
+        terms, more = (parse(r[key], VarTable(names), ring).terms for r in (report, larger))
+        assert terms == {e: c for e, c in more.items() if exp_dot(xi0, e) <= determined[key]}, key
+
+
 def test_weierstrass_invalid_split(capsys):
     code, report = run(capsys, ["weierstrass", "y^2 - x^2 + x^3", "--vars", "x,y",
                                 "--split", "y-x,y-x"])
@@ -323,12 +371,12 @@ def _run_module(argv, stdout):
                           stderr=subprocess.PIPE, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("name", ["readme_weierstrass", "readme_verify"])
+@pytest.mark.parametrize("name", ["readme_weierstrass", "readme_verify", "readme_padic"])
 def test_a_closed_stdout_keeps_the_exit_code(name):
     # a reader that exits before reading the report (here a pipe whose read
     # end is closed) neither changes the exit code nor prints an error; the
-    # weierstrass report outgrows stdout's buffer, so its write fails inside
-    # print, and the verify report's write fails at the flush
+    # padic report outgrows stdout's 8 KiB buffer, so its write fails inside
+    # print, and the weierstrass and verify reports' writes fail at the flush
     case = next(c for c in GOLDEN_CASES if c["name"] == name)
     read, write = os.pipe()
     os.close(read)

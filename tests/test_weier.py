@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from edgelift.weier import (NoCoprimeSplit, NoLooseEdgeInfo, NotDescendant,
                             NotMonic, NotPrepared, PadicFactors, PadicPoly,
                             WeierstrassInput, descendant_loose_edges,
                             lift_monic, padic_newton_factor, poly_divide,
-                            weierstrass_normalize, weight_to_x_bound)
+                            weierstrass_normalize)
 
 Q = rationals()
 X12Y = VarTable(("x1", "x2", "y"))
@@ -115,7 +116,7 @@ def test_lift_monic_rejects_invalid_splits():
 def test_weierstrass_normalize_identity_case():
     vt = VarTable(("x", "y"))
     g0 = parse("y^2 - x*y + x^3", vt, Q)  # already a Weierstrass polynomial
-    u, g = weierstrass_normalize(g0, 2, 10)
+    u, g = weierstrass_normalize(g0, 2, WeightedBound((1, 0), 10))
     assert u == SparsePoly.constant(2, Q, 1)
     assert g == g0
 
@@ -124,7 +125,7 @@ def test_weierstrass_normalize_geometric_series():
     vt = VarTable(("x", "y"))
     gbar = parse("(1 + x)*y - x", vt, Q)
     n = 8
-    u, g = weierstrass_normalize(gbar, 1, n)
+    u, g = weierstrass_normalize(gbar, 1, WeightedBound((1, 0), n))
     # oracle: g = y - x/(1+x) = y - x + x^2 - x^3 + ...
     series = {(k, 0): Fraction((-1) ** k) for k in range(1, n + 1)}
     series[(0, 1)] = Fraction(1)
@@ -137,22 +138,22 @@ def test_weierstrass_normalize_geometric_series():
 def test_weierstrass_normalize_rejects_unprepared():
     vt = VarTable(("x", "y"))
     with pytest.raises(NotPrepared):
-        weierstrass_normalize(parse("x*y", vt, Q), 1, 5)
+        weierstrass_normalize(parse("x*y", vt, Q), 1, WeightedBound((1, 0), 5))
     with pytest.raises(NotPrepared):
-        weierstrass_normalize(parse("y^2 + x", vt, Q), 1, 5)
+        weierstrass_normalize(parse("y^2 + x", vt, Q), 1, WeightedBound((1, 0), 5))
 
 
 def test_weierstrass_normalize_needs_a_positive_degree():
     vt = VarTable(("x", "y"))
     with pytest.raises(ValueError, match="d >= 1"):
-        weierstrass_normalize(parse("1 + x", vt, Q), 0, 5)
+        weierstrass_normalize(parse("1 + x", vt, Q), 0, WeightedBound((1, 0), 5))
 
 
 def test_poly_divide_identity_and_random():
     vt = VarTable(("x", "y"))
     rng = random.Random(11)
     g = parse("y^2 + x*y + x^3", vt, Q)
-    q, r = poly_divide(g, g, 12)
+    q, r = poly_divide(g, g, WeightedBound((1, 0), 12))
     assert q == SparsePoly.constant(2, Q, 1) and not r
     for _ in range(25):
         terms = {(rng.randint(0, 4), rng.randint(0, 4)): Fraction(rng.randint(-3, 3))
@@ -161,7 +162,7 @@ def test_poly_divide_identity_and_random():
         if not f:
             continue
         n = 10
-        q, r = poly_divide(f, g, n)
+        q, r = poly_divide(f, g, WeightedBound((1, 0), n))
         assert max((e[-1] for e in r.terms), default=-1) < 2
         diff = f - (q * g + r)
         assert all(sum(e[:-1]) > n for e in diff.terms)
@@ -280,16 +281,57 @@ def test_weierstrass_tail_matches_untruncated_reference():
         terms[(0,) * nx + (d,)] = ring.from_int(rng.choice((1, 2, 3, 4)))
         terms[(0,) * nx + (top,)] = ring.one()
         gbar = SparsePoly(nvars, ring, terms)
-        u, g = weierstrass_normalize(gbar, d, bound_x)
+        box = WeightedBound((1,) * nx + (0,), bound_x)
+        u, g = weierstrass_normalize(gbar, d, box)
         assert (u, g) == _reference_normalize(gbar, d, bound_x)
         # f: anything; divisor: g, or a random polynomial monic in y
         f = SparsePoly(nvars, ring, _random_tail_poly(rng, ring, nx, (0, top + 3), 10))
         divisor = g if trial % 2 else SparsePoly(nvars, ring, {
             **_random_tail_poly(rng, ring, nx, (0, d - 1), 5), (0,) * nx + (d,): ring.one()})
         if f:
-            assert poly_divide(f, divisor, bound_x) == _reference_divide(f, divisor, bound_x)
+            assert poly_divide(f, divisor, box) == _reference_divide(f, divisor, bound_x)
             checked += 1
     assert checked > 200
+
+
+def test_a_weighted_cap_keeps_the_untruncated_tail_below_it():
+    # With no term of gbar lighter than y^d, as on a Weierstrass edge, the
+    # tail capped at weight W is the untruncated tail up to W (g, the
+    # remainder) and up to W - wt(y^d) (the unit, the quotient).
+    rng = random.Random(20261020)
+    rings = (Q, prime_field(101), residue_ring(5, 4))
+    for trial in range(120):
+        ring = rings[trial % 3]
+        nx = rng.randint(1, 3)
+        weights = tuple(rng.randint(1, 3) for _ in range(nx)) + (rng.randint(0, 3),)
+        d = rng.randint(1, 3)
+        top = d + rng.randint(0, 2)
+        wt_yd = d * weights[-1]
+        terms = {e: c for e, c in _random_tail_poly(rng, ring, nx, (0, top - 1), 8).items()
+                 if any(e[:-1]) and sum(map(operator.mul, weights, e)) >= wt_yd}
+        for j in range(d + 1, top):
+            terms[(0,) * nx + (j,)] = ring.from_int(rng.randint(-4, 4))
+        terms[(0,) * nx + (d,)] = ring.from_int(rng.choice((1, 2, 3, 4)))
+        terms[(0,) * nx + (top,)] = ring.one()
+        gbar = SparsePoly(nx + 1, ring, terms)
+        cap = WeightedBound(weights, wt_yd + rng.randint(0, 10))
+        below = WeightedBound(weights, cap.bound - wt_yd)
+        bound_x = cap.bound // min(weights[:-1])
+        u_ref, g_ref = _reference_normalize(gbar, d, bound_x)
+        assert weierstrass_normalize(gbar, d, cap) == (u_ref.truncate(below), g_ref.truncate(cap))
+        f = SparsePoly(nx + 1, ring, _random_tail_poly(rng, ring, nx, (0, top + 3), 10))
+        q_ref, r_ref = _reference_divide(f, g_ref, bound_x)
+        assert poly_divide(f, g_ref, cap) == (q_ref.truncate(below), r_ref.truncate(cap))
+
+
+@pytest.mark.parametrize("weights", [(0, 1), (-1, 1), (1, -1)])
+def test_a_tail_cap_needs_positive_x_weights(weights):
+    g = parse("y^2 - x*y + x^3", VarTable(("x", "y")), Q)
+    cap = WeightedBound(weights, 10)
+    with pytest.raises(ValueError, match="positive x-weights"):
+        weierstrass_normalize(g, 2, cap)
+    with pytest.raises(ValueError, match="positive x-weights"):
+        poly_divide(g, g, cap)
 
 
 def test_full_monic_pipeline_example3():
@@ -300,8 +342,8 @@ def test_full_monic_pipeline_example3():
     ws = orthogonal_basis(edge.direction)
     bound = WeightedBound(ws.xi0, 60)
     gbar, hbar, _ = lift_monic(wi, rest, split, bound.bound)
-    bx = weight_to_x_bound(ws, 60)
-    u, g = weierstrass_normalize(gbar, 1, bx)
+    bx = -(-60 // min(ws.xi0))
+    u, g = weierstrass_normalize(gbar, 1, WeightedBound((1, 1, 0), bx))
     # monic degree 1, unit constant term invertible, u*g matches gbar
     assert max(e[-1] for e in g.terms) == 1
     assert g.coeff((0, 0, 1)) == 1
@@ -310,7 +352,7 @@ def test_full_monic_pipeline_example3():
     assert all(any(e[:-1]) for e in sub)  # lower coefficients vanish at x = 0
     diff = u * g - gbar
     assert all(sum(e[:-1]) > bx for e in diff.terms)
-    h, r = poly_divide(wi.f, g, bx)
+    h, r = poly_divide(wi.f, g, WeightedBound((1, 1, 0), bx))
     resid = (wi.f - g * h).truncate(bound)
     assert not resid
     assert not r.truncate(bound)
