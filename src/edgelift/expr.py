@@ -18,12 +18,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import gcd
+from operator import itemgetter
 
-from .coeffs import NotInvertible, RATIONALS
-from .poly import SparsePoly, exp_scale
+from .coeffs import RATIONALS
+from .poly import SparsePoly, exp_add, exp_scale
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
 
 
 class ExprError(ValueError):
@@ -75,140 +77,117 @@ class VarTable:
     def __len__(self):
         return len(self.names)
 
-    def index(self, name):
-        return self.names.index(name)
 
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^/()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(("int", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, "a number, variable or operator")
-    tokens.append(("end", "", n))
-    return tokens
+# One match per token: group 1 an integer, a name or an operator, group 2
+# any other character that is not whitespace.  Whitespace matches nothing.
+_SCANNER = re.compile(rf"([0-9]+|{_IDENT_RE.pattern}|[-+*^/()])|(\S)")
+_MAX_NESTING = 100
 
 
 class _Parser:
+    """Evaluates the grammar a term at a time: a term is one exponent vector
+    and one coefficient num/den, entering the ring once, and only a factor of
+    several terms (a parenthesized sum, or a power of one) is a SparsePoly.
+    The tokens are strings, "" at the end; an error rescans for its position."""
+
     def __init__(self, text, vars_, ring):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.vars = vars_
+        self.text, matches = text, _SCANNER.findall(text)
+        if any(map(itemgetter(1), matches)):
+            raise ParseError(self.at(next(k for k, (_, bad) in enumerate(matches) if bad)),
+                             "a number, variable or operator")
+        self.tokens = list(map(itemgetter(0), matches)) + [""]
+        self.index = {name: i for i, name in enumerate(vars_.names)}
         self.ring = ring
         self.nvars = len(vars_)
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def at(self, k):
+        """Position in the text of token k."""
+        match = next(islice(_SCANNER.finditer(self.text), k, None), None)
+        return len(self.text) if match is None else match.start()
 
-    def take(self, kind):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            return None
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.take(kind)
-        if tok is None:
-            raise ParseError(self.peek()[2], what)
-        return tok
-
-    def parse(self):
-        f = self.expr()
-        if self.peek()[0] != "end":
-            raise ParseError(self.peek()[2], "'+', '-', '*' or end of input")
-        return f
-
-    def expr(self):
-        # one dict for the whole sum, so parsing is linear in the term count
-        out = dict(self.term().terms)
+    def expr(self, pos, depth):
+        """The sum at token ``pos`` and the position after it, added up in
+        one dict; ``depth`` counts the enclosing parentheses."""
+        tokens, ring, modulus, index = self.tokens, self.ring, self.ring.modulus, self.index
+        out = {}
+        sign = 1
         while True:
-            if self.take("+"):
-                sign = 1
-            elif self.take("-"):
-                sign = -1
-            else:
-                return SparsePoly(self.nvars, self.ring, out)
-            for e, c in self.term().terms.items():
-                out[e] = out.get(e, 0) + sign * c
+            exponent = [0] * self.nvars
+            num, den, product = sign, 1, None
+            while True:   # a unary per pass: '-'* atom ('^' INTEGER)?
+                while tokens[pos] == "-":
+                    num, pos = -num, pos + 1
+                token = tokens[pos]
+                pos += 1
+                i = index.get(token)
+                if i is not None:
+                    n, pos = self.power(pos)
+                    exponent[i] += 1 if n is None else n
+                elif token.isdigit():
+                    a, b = int(token), 1
+                    if tokens[pos] == "/":
+                        if not tokens[pos + 1].isdigit():
+                            raise ParseError(self.at(pos + 1), "an integer denominator")
+                        b = int(tokens[pos + 1])
+                        g = gcd(a, b)   # the literal in lowest terms; 0 when a = b = 0
+                        if not g or not ring.is_unit(b // g):
+                            raise ParseError(self.at(pos - 1),
+                                             f"a literal with unit denominator in {ring}")
+                        a, b = a // g, b // g
+                        pos += 2
+                    n, pos = self.power(pos)
+                    if n is not None:   # mod p^k, so 3^1000000000 stays small
+                        a, b = pow(a, n, modulus), pow(b, n, modulus)
+                    num, den = num * a, den * b
+                elif token == "(":
+                    if depth == _MAX_NESTING:
+                        raise ParseError(self.at(pos - 1),
+                                         f"at most {_MAX_NESTING} nested parentheses")
+                    f, pos = self.expr(pos, depth + 1)
+                    if tokens[pos] != ")":
+                        raise ParseError(self.at(pos), "')'")
+                    n, pos = self.power(pos + 1)
+                    if n is not None and len(f) > 1:
+                        f, n = f.pow(n), None
+                    if len(f) > 1:
+                        product = f if product is None else product * f
+                    elif f:
+                        ((e, c),) = f.terms.items()
+                        if n is not None:
+                            e, c = exp_scale(e, n), pow(c, n, modulus)
+                        exponent[:] = exp_add(exponent, e)
+                        num, den = num * c.numerator, den * c.denominator
+                    elif n != 0:
+                        num = 0
+                elif token[:1].isalpha():
+                    raise UnknownVariable(token, self.at(pos - 1))
+                else:
+                    raise ParseError(self.at(pos - 1), "a number, variable or '('")
+                if tokens[pos] != "*":
+                    break
+                pos += 1
+            if num:
+                c = ring.from_fraction(Fraction(num, den) if den != 1 else num)
+                terms = {tuple(exponent): c} if product is None else {
+                    exp_add(exponent, e): c * c2 for e, c2 in product.terms.items()}
+                for e, c in terms.items():
+                    out[e] = out[e] + c if e in out else c
+            if tokens[pos] not in ("+", "-"):
+                return SparsePoly(self.nvars, ring, out), pos
+            sign = 1 if tokens[pos] == "+" else -1
+            pos += 1
 
-    def term(self):
-        f = self.unary()
-        while self.take("*"):
-            f = f * self.unary()
-        return f
-
-    def unary(self):
-        if self.take("-"):
-            return -self.unary()
-        return self.power()
-
-    def power(self):
-        f = self.atom()
-        if self.take("^"):
-            tok = self.peek()
-            if tok[0] == "-":
-                raise NegativeExponent(tok[2])
-            tok = self.expect("int", "a nonnegative integer exponent")
-            return _power(f, int(tok[1]))
-        return f
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.pos += 1
-            value = Fraction(int(tok[1]))
-            if self.peek()[0] == "/":
-                self.pos += 1
-                den = self.expect("int", "an integer denominator")
-                value = Fraction(int(tok[1]), int(den[1]))
-            try:
-                coeff = self.ring.from_fraction(value)
-            except NotInvertible:
-                raise ParseError(tok[2], f"a literal with unit denominator in {self.ring}") from None
-            return SparsePoly.constant(self.nvars, self.ring, coeff)
-        if tok[0] == "name":
-            self.pos += 1
-            try:
-                idx = self.vars.index(tok[1])
-            except ValueError:
-                raise UnknownVariable(tok[1], tok[2]) from None
-            exponent = tuple(1 if j == idx else 0 for j in range(self.nvars))
-            return SparsePoly.monomial(self.nvars, self.ring, exponent)
-        if tok[0] == "(":
-            self.pos += 1
-            f = self.expr()
-            self.expect(")", "')'")
-            return f
-        raise ParseError(tok[2], "a number, variable or '('")
-
-
-def _power(f, n):
-    """f^n; a single term is raised directly, its coefficient mod the
-    modulus over F_p and Z/p^k."""
-    if len(f) != 1:
-        return f.pow(n)
-    ((e, c),) = f.terms.items()
-    ring = f.ring
-    c = c**n if ring.kind == RATIONALS else pow(c, n, ring.modulus)
-    return SparsePoly(f.nvars, ring, {exp_scale(e, n): c})
+    def power(self, pos):
+        """The n of a '^ n' at token ``pos``, None without one, and the
+        position after it."""
+        if self.tokens[pos] != "^":
+            return None, pos
+        token = self.tokens[pos + 1]
+        if token == "-":
+            raise NegativeExponent(self.at(pos + 1))
+        if not token.isdigit():
+            raise ParseError(self.at(pos + 1), "a nonnegative integer exponent")
+        return int(token), pos + 2
 
 
 def parse(text, vars_, ring):
@@ -217,7 +196,11 @@ def parse(text, vars_, ring):
         vars_ = VarTable(tuple(vars_))
     if not text.strip():
         raise ParseError(0, "a nonempty expression")
-    return _Parser(text, vars_, ring).parse()
+    parser = _Parser(text, vars_, ring)
+    f, pos = parser.expr(0, 0)
+    if parser.tokens[pos]:
+        raise ParseError(parser.at(pos), "'+', '-', '*' or end of input")
+    return f
 
 
 def _monomial_str(exponent, names):

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 
 from . import newton
 from .grading import WeightSystem, orthogonal_basis
@@ -397,7 +399,7 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
     ``caps`` bounds the last coordinates of every step's (h', g') columns; a
     step inconsistent within them is Unsolvable.  A system eliminated once
     serves every later step with its key; nothing is kept past the call.
-    The exit weight comes from capped products.
+    A bounded lift's exit weight is read layer by layer (_exit_weight).
     """
     ring = f.ring
     w = _uniform_weight(G, ws)
@@ -489,27 +491,41 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
         multiply(delta, h_part, h_weight, g, g_order)
         grow(g, g_order, g_part, g_weight)
         place(delta)
+    if bound is not None:
+        cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_order), (h, h_order)))
+        return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
     g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
-    cert.exit_min_weight = _exit_weight(f, g, h, ws.xi0, N, view)
+    cert.exit_min_weight = min((exp_dot(ws.xi0, view(e, c)[0])
+                                for e, c in (f - g * h).terms.items()), default=None)
     return g, h, cert
 
 
-def _exit_weight(f, g, h, xi0, N, view):
-    """The least xi0 weight of the view of f - g*h, None when it vanishes.
-
-    The lift cleared every term of weight at most N, so the products capped
-    at N + 1, N + 2, N + 4, ... find it; past the largest weight f or g*h
-    reaches, and without a bound, the product is the full one."""
-    top = [max((exp_dot(xi0, e) for e in P.terms), default=0) for P in (f, g, h)]
-    reach = None if N is None else max(top[0], top[1] + top[2])
-    margin = 1
-    while True:
-        cap = WeightedBound(xi0, N + margin) if N is not None and N + margin < reach else None
-        remainder = (f - g.mul(h, cap)).truncate(cap)
-        if remainder or cap is None:
-            return min((exp_dot(xi0, view(e, c)[0]) for e, c in remainder.terms.items()),
-                       default=None)
-        margin *= 2
+def _exit_weight(f, N, xi0, factors):
+    """The least xi0 weight of a term of f - g*h above N, or None; ``factors``
+    holds g's and h's terms, each with its (weight, exponent) list in weight
+    order.  The layers above N are formed in increasing weight, each from f's
+    terms of that weight and the pairs of a g- and an h-class adding up to it."""
+    g_classes, h_classes = ([(weight, [(e, terms[e]) for _, e in group])
+                             for weight, group in groupby(order, itemgetter(0))]
+                            for terms, order in factors)
+    layers = {}   # weight -> f's terms, and the pairs of classes, of that weight above N
+    for e, c in f.terms.items():
+        if exp_dot(xi0, e) > N:
+            layers.setdefault(exp_dot(xi0, e), ({}, []))[0][e] = c
+    for g_weight, g_terms in g_classes:
+        for h_weight, h_terms in h_classes:
+            if g_weight + h_weight > N:
+                layers.setdefault(g_weight + h_weight, ({}, []))[1].append((g_terms, h_terms))
+    for weight in sorted(layers):
+        layer, pairs = layers[weight]
+        for g_terms, h_terms in pairs:
+            for e1, c1 in g_terms:
+                for e2, c2 in h_terms:
+                    e = exp_add(e1, e2)
+                    layer[e] = layer.get(e, 0) - c1 * c2
+        if any(map(f.ring.normalize, layer.values())):
+            return weight
+    return None
 
 
 def _lift_over_residue_field(f, ws, split, N):

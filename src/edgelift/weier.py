@@ -335,7 +335,7 @@ def _padic_lift(pp, rest, split):
     caps = (deg_y - d_monic, d_monic)
     g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane_term(f.ring),
                            _embed_term(f.ring), caps)
-    assert g * h == f, "p-adic product check failed"
+    assert cert.exit_min_weight is None, "p-adic product check failed: f - g*h is not 0"
     cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
     for step in cert.steps:
         step.weight = exp_add(step.weight, exp_add(cert.w, cert.z))

@@ -57,6 +57,16 @@ def test_analyze_parse_error_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x + 1/0", 4), ("(" * 200 + "x" + ")" * 200, 100), ("0 + " + "-" * 1000, 1004)],
+    ids=["zero_denominator", "deep_nesting", "minus_chain"])
+def test_malformed_input_exits_3_with_its_position(capsys, text, position):
+    code = main(["analyze", text])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"].endswith(f"(at position {position})")
+
+
 def test_restrict_command(capsys):
     code, report = run(capsys, ["restrict", EXAMPLE1, "--edge", "0"])
     assert code == 0
@@ -356,9 +366,14 @@ def test_factor_output_repeats(capsys):
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
 def test_golden_output(case, capsys):
     """Byte-exact stdout and exit code of each request in golden/cases.json;
-    the expected stdout is golden/<name>.out."""
+    the expected stdout is golden/<name>.out, and the expected stderr
+    golden/<name>.err where that file exists."""
     code = main(case["argv"])
-    assert capsys.readouterr().out == (GOLDEN / f"{case['name']}.out").read_text()
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{case['name']}.out").read_text()
+    err = GOLDEN / f"{case['name']}.err"
+    if err.exists():
+        assert captured.err == err.read_text()
     assert code == case["exit"]
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from edgelift.coeffs import prime_field, rationals, residue_ring
-from edgelift.expr import (NegativeExponent, ParseError, UnknownVariable,
+from edgelift.coeffs import RingDescriptor, prime_field, rationals, residue_ring
+from edgelift.expr import (ExprError, NegativeExponent, ParseError, UnknownVariable,
                            VarTable, parse, render)
 from edgelift.poly import SparsePoly
 
@@ -62,6 +62,65 @@ def test_parse_errors_carry_positions():
 def test_parse_literal_denominator_must_be_unit():
     with pytest.raises(ParseError):
         parse("1/5*x", XYZ, prime_field(5))
+    # the literal is read in lowest terms
+    assert parse("5/5*x - 0/5", XYZ, prime_field(5)) == parse("x", XYZ, prime_field(5))
+
+
+# (text, ring, exception class, message, position) of malformed input
+MALFORMED = [
+    ("x + ", "Q", ParseError, "expected a number, variable or '(' (at position 4)", 4),
+    ("x y", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 2)", 2),
+    ("x/2", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 1)", 1),
+    ("x^-2", "Q", NegativeExponent, "exponents must be nonnegative integers (at position 2)", 2),
+    ("x^ -1", "Q", NegativeExponent, "exponents must be nonnegative integers (at position 3)", 3),
+    ("x^2^3", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 3)", 3),
+    ("(x", "Q", ParseError, "expected ')' (at position 2)", 2),
+    ("(x + y", "Q", ParseError, "expected ')' (at position 6)", 6),
+    ("x)", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 1)", 1),
+    ("x + (y))", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 7)", 7),
+    ("2^x", "Q", ParseError, "expected a nonnegative integer exponent (at position 2)", 2),
+    ("2^(3)", "Q", ParseError, "expected a nonnegative integer exponent (at position 2)", 2),
+    ("x^", "Q", ParseError, "expected a nonnegative integer exponent (at position 2)", 2),
+    ("x**2", "Q", ParseError, "expected a number, variable or '(' (at position 2)", 2),
+    ("1/5*x", "F5", ParseError,
+     "expected a literal with unit denominator in F5 (at position 0)", 0),
+    ("2*1/3*x", "Z/3^4", ParseError,
+     "expected a literal with unit denominator in Z/3^4 (at position 2)", 2),
+    ("x + w", "Q", UnknownVariable, "unknown variable 'w' (at position 4)", 4),
+    ("x_1 + y", "Q", UnknownVariable, "unknown variable 'x_1' (at position 0)", 0),
+    ("x + \u00e9", "Q", ParseError, "expected a number, variable or operator (at position 4)", 4),
+    # an unrecognized character is reported before any grammar error
+    ("x + + \u00e9", "Q", ParseError,
+     "expected a number, variable or operator (at position 6)", 6),
+    ("x^\u0663", "Q", ParseError, "expected a number, variable or operator (at position 2)", 2),
+    ("x$y", "Q", ParseError, "expected a number, variable or operator (at position 1)", 1),
+    ("x^2.5", "Q", ParseError, "expected a number, variable or operator (at position 3)", 3),
+    ("", "Q", ParseError, "expected a nonempty expression (at position 0)", 0),
+    ("   ", "Q", ParseError, "expected a nonempty expression (at position 0)", 0),
+    ("+x", "Q", ParseError, "expected a number, variable or '(' (at position 0)", 0),
+    ("x +* y", "Q", ParseError, "expected a number, variable or '(' (at position 3)", 3),
+    ("()", "Q", ParseError, "expected a number, variable or '(' (at position 1)", 1),
+    ("x - -", "Q", ParseError, "expected a number, variable or '(' (at position 5)", 5),
+    ("-", "Q", ParseError, "expected a number, variable or '(' (at position 1)", 1),
+    ("x*", "Q", ParseError, "expected a number, variable or '(' (at position 2)", 2),
+    ("x +   ", "Q", ParseError, "expected a number, variable or '(' (at position 6)", 6),
+    ("1/", "Q", ParseError, "expected an integer denominator (at position 2)", 2),
+    ("1/x", "Q", ParseError, "expected an integer denominator (at position 2)", 2),
+    ("1/-2", "Q", ParseError, "expected an integer denominator (at position 2)", 2),
+    ("1/2/3", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 3)", 3),
+    ("3x", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 1)", 1),
+    ("x^2 y", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 4)", 4),
+    ("(x)(y)", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 3)", 3),
+]
+
+
+@pytest.mark.parametrize("text, ring, error, message, position", MALFORMED,
+                         ids=[repr(case[0]) for case in MALFORMED])
+def test_malformed_input_error(text, ring, error, message, position):
+    with pytest.raises(ExprError) as err:
+        parse(text, XYZ, RingDescriptor.from_string(ring))
+    assert type(err.value) is error
+    assert (str(err.value), err.value.position) == (message, position)
 
 
 def test_render_zero():
@@ -142,9 +201,97 @@ def test_parse_matches_polynomial_arithmetic(ring):
         "1/2*x - 3/4*y + 1/4*x - 2/3": const(Fraction(3, 4)) * x - const(Fraction(3, 4)) * y
                                         - const(Fraction(2, 3)),
         "(1/2)^2*z": const(Fraction(1, 4)) * z,
+        # a single term over Z/5^3, which is not raised to the power again
+        "(25*x + y)^5*x": (const(25) * x + y).pow(5) * x,
     }
     for text, expected in cases.items():
         assert parse(text, XYZ, ring) == expected, text
+
+
+# precedence levels of the grammar: a child below the level its parent
+# needs is parenthesized
+SUM, TERM, UNARY, POWER, ATOM = range(5)
+
+
+def _expression_trees(st, ring, depth):
+    """Strategy for (text, level, SparsePoly in x, y, z) of expression trees
+    of the given depth: each node above the leaves is a sum, a product, a
+    unary-minus chain, a power (^0 included) or extra parentheses, and the
+    leaves are variables and literals, integer or rational, some raised to
+    a power."""
+    def paren(node, level):
+        text, at, f = node
+        return (f"({text})", ATOM, f) if at < level else node
+
+    def literal(a, b, power):
+        text = str(a) if b == 1 else f"{a}/{b}"
+        f = SparsePoly.constant(3, ring, ring.from_fraction(Fraction(a, b)))
+        if power is None:
+            return text, ATOM, f
+        return f"{text}^{power}", POWER, f.pow(power)
+
+    units = st.integers(1, 12)
+    if ring.modulus is not None:
+        units = units.filter(lambda b: b % ring.p)
+    powers = st.none() | st.integers(0, 3)
+    leaves = (st.builds(literal, st.integers(0, 30), st.just(1), powers)
+              | st.builds(literal, st.integers(0, 30), units, powers)
+              | st.sampled_from([(name, ATOM, SparsePoly.monomial(3, ring, e))
+                                 for name, e in zip("xyz", ((1, 0, 0), (0, 1, 0), (0, 0, 1)))]))
+    if depth == 0:
+        return leaves
+    child = _expression_trees(st, ring, depth - 1)
+    space = st.sampled_from(["", " "])
+
+    def total(first, rest):
+        text, _, f = paren(first, TERM)
+        for (sign, gap), node in rest:
+            node = paren(node, TERM)
+            text += f"{gap}{sign}{gap}{node[0]}"
+            f = f + node[2] if sign == "+" else f - node[2]
+        return text, SUM, f
+
+    def product(factors):
+        factors = [paren(node, UNARY) for node in factors]
+        f = factors[0][2]
+        for node in factors[1:]:
+            f = f * node[2]
+        return "*".join(node[0] for node in factors), TERM, f
+
+    def minus(count, node):
+        text, _, f = paren(node, UNARY)
+        return "-" * count + text, UNARY, -f if count % 2 else f
+
+    def power(node, n):
+        text, _, f = paren(node, ATOM)
+        return f"{text}^{n}", POWER, f.pow(n)
+
+    def nested(count, node):
+        text, _, f = node
+        return "(" * count + text + ")" * count, ATOM, f
+
+    signs = st.tuples(st.sampled_from("+-"), space)
+    return (st.builds(total, child, st.lists(st.tuples(signs, child), min_size=1, max_size=3))
+            | st.builds(product, st.lists(child, min_size=2, max_size=3))
+            | st.builds(minus, st.integers(1, 4), child)
+            | st.builds(power, child, st.integers(0, 3))
+            | st.builds(nested, st.integers(1, 3), child))
+
+
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(3, 4)], ids=str)
+def test_parse_gives_the_polynomial_an_expression_tree_denotes(ring):
+    """The parsed text of a random expression tree equals the SparsePoly
+    that SparsePoly arithmetic builds from the same tree."""
+    hp = pytest.importorskip("hypothesis")
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                 suppress_health_check=[hp.HealthCheck.too_slow])
+    @hp.given(_expression_trees(hp.strategies, ring, 4))
+    def check(node):
+        text, _, f = node
+        assert parse(text, XYZ, ring) == f, text
+
+    check()
 
 
 def test_parse_huge_exponent_of_a_constant_mod_p():
@@ -171,9 +318,32 @@ def test_parse_work_is_linear_in_the_term_count(monkeypatch):
     text = " + ".join(f"{i + 2}*x^{i % 7 + 2}*y^{i // 7 % 7 + 2}*z^{i // 49 + 2}"
                       for i in range(n))
     assert len(parse(text, XYZ, Q)) == n
-    # each term is 4 atoms, 3 powers and 3 products
-    assert len(built) <= 12 * n
-    assert sum(built) <= 12 * n
+    # a term of numbers, variables and powers of them is one monomial, so
+    # the sum is the one polynomial built
+    assert built == [n]
+
+
+@pytest.mark.parametrize("ring", [Q, prime_field(5)], ids=str)
+def test_a_zero_denominator_is_a_parse_error(ring):
+    for text, position in [("x + 1/0", 4), ("x + 2/0*y", 4), ("0/0", 0)]:
+        with pytest.raises(ParseError) as err:
+            parse(text, XYZ, ring)
+        assert str(err.value) == (f"expected a literal with unit denominator in {ring} "
+                                  f"(at position {position})")
+
+
+def test_nesting_is_bounded_and_minus_chains_are_not():
+    x = parse("x", XYZ, Q)
+    assert parse("(" * 100 + "x" + ")" * 100, XYZ, Q) == x
+    for depth in (101, 200, 5000):
+        with pytest.raises(ParseError) as err:
+            parse("(" * depth + "x" + ")" * depth, XYZ, Q)
+        assert str(err.value) == "expected at most 100 nested parentheses (at position 100)"
+    assert parse("0 + " + "-" * 1000 + "x", XYZ, Q) == x
+    assert parse("-" * 5001 + "x^2*-y", XYZ, Q) == parse("x^2*y", XYZ, Q)
+    with pytest.raises(ParseError) as err:
+        parse("0 + " + "-" * 1000, XYZ, Q)
+    assert err.value.position == 1004
 
 
 def test_render_injective_on_sample():

@@ -721,18 +721,17 @@ def test_a_lift_weighs_each_residual_exponent_once(monkeypatch, N):
     assert calls[0] <= len(split.G) + len(split.H) + len(touched) + 2 * len(cert.steps)
 
 
-@pytest.mark.parametrize("f_text, caps, exit_weight", [
-    # f - G*H is x*y*z^4 - x^7*y^5*z^2, of weights 22 and 40: the caps 1,
-    # 2, 4, 8 and 16 miss 22, and 32 is still below the weight 40 f reaches
-    (EXAMPLE1, [1, 2, 4, 8, 16, 32], 22),
-    # f = G*H: nothing remains, and past the weight 16 that G*H reaches the
-    # product is the full one
-    ("x^6*y^2 - z^4", [1, 2, 4, 8, None], None),
-], ids=["example1", "exact"])
-def test_the_exit_weight_doubles_its_cap_above_the_bound(monkeypatch, f_text, caps, exit_weight):
-    """At N = 0 no step runs, and the exit weight is read from the products
-    capped at N + 1, N + 2, N + 4, ... up to the largest weight f or g*h
-    reaches, where the product is the full one."""
+@pytest.mark.parametrize("f_text, exit_weight", [
+    # f - G*H is x*y*z^4 - x^7*y^5*z^2, of weights 22 and 40
+    (EXAMPLE1, 22),
+    # f = G*H: nothing remains
+    ("x^6*y^2 - z^4", None),
+    # one term far above the edge, with no layer of G*H near it
+    ("x^6*y^2 - z^4 + x^1000000*y^1000000", 6000000),
+], ids=["example1", "exact", "far_term"])
+def test_the_exit_weight_of_a_bounded_lift_forms_no_product(monkeypatch, f_text, exit_weight):
+    """At N = 0 no step runs, and the exit weight is read layer by layer from
+    f and the weight classes of g and h, without a SparsePoly product."""
     f = parse(f_text, XYZ, Q)
     rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
@@ -748,7 +747,7 @@ def test_the_exit_weight_doubles_its_cap_above_the_bound(monkeypatch, f_text, ca
     monkeypatch.undo()
     assert not cert.steps
     # G*H in the split check, then the residual at the bound 0
-    assert seen == [None, 0] + caps
+    assert seen == [None, 0]
     assert cert.exit_min_weight == _residual_weight(f, g, h, rest) == exit_weight
 
 
