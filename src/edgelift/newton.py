@@ -2,9 +2,13 @@
 
 The polyhedron of a nonzero polynomial is the convex hull of its exponent
 support plus the nonnegative orthant.  Vertices, compact edges and the
-loose/descendant classification are all decided by one exact rational LP
-feasibility oracle; strict inequalities xi > 0 are encoded as xi >= 1, which
-is equivalent on rational homogeneous cones.
+loose/descendant classification are all decided by exact rational LP
+feasibility.  The vertex test is one LP with an equation per coordinate.  The
+edge and looseness tests ask for a strictly positive xi on a cone
+(_positive_xi), in whichever form has fewer rows: one row per vector, with
+strict inequalities read as >= 1 (equivalent on rational homogeneous cones),
+or Motzkin's alternative, one row per coordinate, once a polyhedron has more
+than n + 2 vertices.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import EQ, GE, feasible_point
+from .lp import EQ, GE, LE, feasible_point
 from .poly import deglex_key, exp_add, exp_dot, exp_neg, exp_scale, exp_sub, primitive_vector
 
 
@@ -128,37 +132,41 @@ def _is_vertex(s, support, nvars):
     return feasible_point(m + nvars, rows) is None
 
 
+def _positive_xi(eqs, ineqs, strict, nvars):
+    """Is there an xi > 0 with <xi, e> = 0 for every e in eqs and <xi, u> > 0
+    (when strict) or >= 0 for every u in ineqs?  One LP, in whichever of two
+    forms has fewer rows; the row form on a tie."""
+    if len(eqs) + len(ineqs) <= nvars + 1:
+        # Row form: xi = eta + 1, eta >= 0; the cone is homogeneous, so ">" reads ">= 1".
+        rows = [(list(e), EQ, -sum(e)) for e in eqs]
+        rows += [(list(u), GE, strict - sum(u)) for u in ineqs]
+        return feasible_point(nvars, rows) is not None
+    # Column form, Motzkin's alternative: no such xi iff some mu >= 0 on ineqs
+    # and free q = q+ - q- on eqs make s = sum mu*u + sum q*e satisfy s <= 0
+    # and -sum(s) + [strict]*sum(mu) = 1.  One row per coordinate.
+    cols = ([(u, strict) for u in ineqs] + [(e, 0) for e in eqs]
+            + [(exp_neg(e), 0) for e in eqs])
+    rows = [([c[j] for c, _ in cols], LE, 0) for j in range(nvars)]
+    rows.append(([s - sum(c) for c, s in cols], EQ, 1))
+    return feasible_point(len(cols), rows) is None
+
+
 def _edge_feasible(a, b, vertices, nvars):
-    """Is [a, b] a compact edge?  Feasibility of { xi >= 1, <xi, b-a> = 0,
-    <xi, u-a> >= 1 for every other vertex u }, with xi = eta + 1."""
-    d = exp_sub(b, a)
-    rows = [(list(d), EQ, -sum(d))]
-    for u in vertices:
-        if u in (a, b):
-            continue
-        w = exp_sub(u, a)
-        rows.append((list(w), GE, 1 - sum(w)))
-    return feasible_point(nvars, rows) is not None
+    """Is [a, b] a compact edge?  Some xi > 0 vanishes on b - a and is
+    strictly positive on u - a for every other vertex u."""
+    others = [exp_sub(u, a) for u in vertices if u not in (a, b)]
+    return _positive_xi([exp_sub(b, a)], others, True, nvars)
 
 
 def _edge_is_loose(a, b, vertices, nvars):
     """A compact edge is loose iff no compact face of dimension >= 2 contains
-    it; such a face must contain a third vertex, so test, for every third
-    vertex v, feasibility of { xi >= 1, <xi, b-a> = 0, <xi, v-a> = 0,
-    <xi, u-a> >= 0 }."""
+    it; such a face must contain a third vertex v, so ask, for each v, for an
+    xi > 0 that vanishes on b - a and v - a and is nonnegative on u - a for
+    every other vertex u."""
     d = exp_sub(b, a)
-    others = [u for u in vertices if u not in (a, b)]
-    for v in others:
-        w = exp_sub(v, a)
-        rows = [(list(d), EQ, -sum(d)), (list(w), EQ, -sum(w))]
-        for u in others:
-            if u == v:
-                continue
-            t = exp_sub(u, a)
-            rows.append((list(t), GE, -sum(t)))
-        if feasible_point(nvars, rows) is not None:
-            return False
-    return True
+    others = [exp_sub(u, a) for u in vertices if u not in (a, b)]
+    return not any(_positive_xi([d, w], others[:i] + others[i + 1:], False, nvars)
+                   for i, w in enumerate(others))
 
 
 def _descendant_flag(direction):

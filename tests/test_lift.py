@@ -625,31 +625,28 @@ def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
 def test_a_lift_step_builds_no_sparse_poly(monkeypatch):
     """The loop keeps its residual, g, h and each step's solution as plain
     dicts, so the SparsePoly constructions in _run_lift do not grow with the
-    number of steps.  The exit weight's capped products are left out: their
-    number depends on where the exit weight lies, not on the steps."""
+    number of steps.  That includes the exit weight, which a bounded lift
+    reads layer by layer without building a polynomial."""
     import edgelift.lift as lift
     import edgelift.weier as weier
     from edgelift.weier import PadicPoly, padic_newton_factor
 
     counting, built = [False], [0]
-    init, run, exit_weight = SparsePoly.__init__, lift._run_lift, lift._exit_weight
+    init, run = SparsePoly.__init__, lift._run_lift
 
     def counting_init(self, *args, **kwargs):
         built[0] += counting[0]
         init(self, *args, **kwargs)
 
-    def within(flag, fn):
-        def wrapped(*args, **kwargs):
-            saved, counting[0] = counting[0], flag
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                counting[0] = saved
-        return wrapped
+    def counting_run(*args, **kwargs):
+        counting[0] = True
+        try:
+            return run(*args, **kwargs)
+        finally:
+            counting[0] = False
 
     monkeypatch.setattr(SparsePoly, "__init__", counting_init)
-    monkeypatch.setattr(lift, "_exit_weight", within(False, exit_weight))
-    monkeypatch.setattr(lift, "_run_lift", within(True, run))
+    monkeypatch.setattr(lift, "_run_lift", counting_run)
     monkeypatch.setattr(weier, "_run_lift", lift._run_lift)
 
     def padic(k):

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from edgelift.coeffs import rationals
 from edgelift.expr import VarTable, parse
 from edgelift.newton import (DimensionMismatch, NotAnEdge, ZeroPolynomial,
-                             build, build_from_support, face_of,
+                             _positive_xi, build, build_from_support, face_of,
                              is_loose, is_polygonal, minkowski)
 from edgelift.poly import SparsePoly
 
-from oracles import oracle_edges, oracle_is_loose, oracle_vertices
+from oracles import (cone_strict_point_exists, oracle_edges, oracle_is_loose,
+                     oracle_vertices)
 
 Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
@@ -204,14 +206,33 @@ def test_structural_invariants_random():
                 assert e in np.edges  # loose edges are compact edges by construction
 
 
+def near_hyperplane(rng, n, degree, size):
+    """size points of total degree `degree`, a third of them pushed off the
+    hyperplane by 1 or 2 in one coordinate."""
+    pts = set()
+    while len(pts) < size:
+        cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+        p = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        p[rng.randrange(n)] += rng.choice((0, 0, 0, 0, 1, 2))
+        pts.add(tuple(p))
+    return sorted(pts)
+
+
 def test_oracle_agreement_focused():
     # the big randomized sweep lives in the acceptance suite; keep a smaller
-    # deterministic cross-check here
+    # deterministic cross-check here, plus supports near a hyperplane: only
+    # those reach polyhedra with more than n + 2 vertices, where the edge and
+    # looseness tests take the column form of the LP
     rng = random.Random(112)
+    cases = []
     for _ in range(60):
         n = rng.randint(2, 4)
-        pts = sorted({tuple(rng.randint(0, 8) for _ in range(n))
-                      for _ in range(rng.randint(1, 8))})
+        cases.append((n, sorted({tuple(rng.randint(0, 8) for _ in range(n))
+                                 for _ in range(rng.randint(1, 8))})))
+    for _ in range(35):
+        cases.append((3, near_hyperplane(rng, 3, 12, rng.randint(9, 12))))
+    many = 0
+    for n, pts in cases:
         np = build_from_support(pts, n)
         assert list(np.vertices) == oracle_vertices(pts, n)
         got_edges = sorted((min(e.a, e.b), max(e.a, e.b)) for e in np.edges)
@@ -219,3 +240,42 @@ def test_oracle_agreement_focused():
         assert got_edges == want_edges
         for e in np.edges:
             assert e.loose == oracle_is_loose(e.a, e.b, np.vertices, n)
+        many += len(np.vertices) > n + 2
+    assert many >= 20
+
+
+def test_positive_xi_agrees_with_the_oracle_in_both_forms():
+    # Random cones on both sides of the rule: the row form for at most n + 1
+    # vectors, the column form for more.  Half of them are built around a
+    # planted xi > 0, so both answers occur on each side.
+    rng = random.Random(404)
+    answers = {(column, found): 0 for column in (False, True) for found in (False, True)}
+    for _ in range(700):
+        n = rng.randint(2, 4)
+        xi = [rng.randint(1, 4) for _ in range(n)] if rng.random() < 0.5 else None
+        eqs = []
+        for _ in range(rng.randint(0, 2)):
+            r = [rng.randint(-3, 3) for _ in range(n)]
+            if xi:  # project r onto the hyperplane orthogonal to xi
+                r = [x * sum(c * c for c in xi) - sum(map(mul, r, xi)) * c
+                     for x, c in zip(r, xi)]
+            # the oracle enumerates rays from linearly independent equations
+            parallel = eqs and not any(eqs[0][i] * r[j] - eqs[0][j] * r[i]
+                                       for i in range(n) for j in range(i))
+            if any(r) and not parallel:
+                eqs.append(tuple(r))
+        ineqs = []
+        for _ in range(rng.randint(0, 9)):
+            u = tuple(rng.randint(-4, 4) for _ in range(n))
+            if xi and sum(map(mul, u, xi)) < 0:
+                u = tuple(-x for x in u)
+            ineqs.append(u)
+        strict = rng.random() < 0.5
+        orthant = [[int(i == j) for j in range(n)] for i in range(n)]
+        want = cone_strict_point_exists(eqs, orthant + ineqs,
+                                         range(n + len(ineqs) if strict else n), n)
+        assert _positive_xi(eqs, ineqs, strict, n) == want, (eqs, ineqs, strict)
+        answers[len(eqs) + len(ineqs) > n + 1, want] += 1
+    for column in (False, True):
+        assert answers[column, False] + answers[column, True] >= 100
+        assert min(answers[column, False], answers[column, True]) >= 20, answers
