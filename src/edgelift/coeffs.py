@@ -178,6 +178,15 @@ class RingDescriptor:
         return a
 
 
+def plain(a):
+    """The scalar a in the form Python computes with fastest: an integral
+    Fraction as its int numerator, whose arithmetic skips Fraction's gcd
+    normalization; anything else unchanged.  The two are equal as numbers,
+    and normalize (so the SparsePoly constructor) turns the int back into a
+    Fraction over Q."""
+    return a.numerator if a.__class__ is Fraction and a.denominator == 1 else a
+
+
 def rationals():
     return RingDescriptor(RATIONALS)
 

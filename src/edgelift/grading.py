@@ -13,6 +13,7 @@ parallel to c clipped to the nonnegative orthant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .linalg import solve_integer
@@ -42,7 +43,7 @@ class WeightSystem:
         n = len(self.direction)
         if len(self.basis) != n:
             raise ValueError("basis must have n vectors")
-        for v in self.basis[:-1]:
+        for v in self.weight_rows:
             if exp_dot(v, self.direction) != 0:
                 raise ValueError("leading basis vectors must be orthogonal to the direction")
         if exp_dot(self.basis[-1], self.direction) == 0:
@@ -60,18 +61,23 @@ class WeightSystem:
     def nvars(self):
         return len(self.direction)
 
+    @cached_property
+    def weight_rows(self):
+        """The first n-1 basis vectors: the rows of the weight map."""
+        return self.basis[:-1]
+
     @property
     def xi0(self):
         out = (0,) * self.nvars
-        for v in self.basis[:-1]:
+        for v in self.weight_rows:
             out = exp_add(out, v)
         return out
 
     def weight(self, alpha):
         """The (n-1)-vector of scalar products; additive in alpha."""
-        if len(alpha) != self.nvars:
+        if len(alpha) != len(self.direction):
             raise ValueError("exponent has wrong length")
-        return tuple([exp_dot(v, alpha) for v in self.basis[:-1]])
+        return tuple([exp_dot(v, alpha) for v in self.weight_rows])
 
     def slice(self, w, anchor=None, max_last=None):
         """The graded piece of weight w: the lattice points of the line
@@ -87,14 +93,15 @@ class WeightSystem:
                 raise ValueError("anchor does not have the requested weight")
             base = anchor
         else:
-            solved = solve_integer([list(v) for v in self.basis[:-1]], list(w))
+            solved = solve_integer([list(v) for v in self.weight_rows], list(w))
             if solved is None:
                 raise NoIntegralPoint(f"weight {w} not in the image of the lattice")
             base, kernel = solved
             assert len(kernel) == 1 and primitive_vector(kernel[0]) in (
                 self.direction, exp_neg(self.direction))
             base = tuple(base)
-        return GradedSlice(w, *line_interval(base, self.direction, max_last), self.direction)
+        first, count = line_interval(base, self.direction, max_last)
+        return GradedSlice(w, first, count, self.direction)
 
     def in_monoid(self, z):
         """Membership in the monoid M of weights: the line omega = z must
@@ -103,7 +110,7 @@ class WeightSystem:
         condition is independent of the choice of alpha on the line and is
         tested as infeasibility of { xi >= 0, <xi, c> = 0, <xi, alpha> <= -1 }."""
         z = tuple(z)
-        solved = solve_integer([list(v) for v in self.basis[:-1]], list(z))
+        solved = solve_integer([list(v) for v in self.weight_rows], list(z))
         if solved is None:
             return False
         alpha = solved[0]
@@ -163,7 +170,7 @@ def line_interval(base, direction, max_last=None):
             return base, 0
     if lo > hi:
         return base, 0
-    return exp_add(base, exp_scale(direction, lo)), hi - lo + 1
+    return (exp_add(base, exp_scale(direction, lo)) if lo else base), hi - lo + 1
 
 
 def basis_reduction_steps(c):

@@ -18,6 +18,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import newton
+from .coeffs import plain
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
@@ -333,7 +334,9 @@ def _solve_in_slices(G, H, terms, wr, h_slice, g_slice, systems):
     for the edge direction d, so the matrix depends only on G, H and the key
     (len_h, len_g, offset).  ``systems`` maps that key to the row-index map,
     column points and elimination, and a lift that keeps it across its
-    steps eliminates each system once."""
+    steps eliminates each system once.  The terms, like the rows, lie on
+    the line of weight wr, where a point is known by any one coordinate in
+    which d moves: the rows are indexed by that coordinate."""
     len_h, len_g = h_slice.count, g_slice.count
     if not (len_h or len_g):
         raise Unsolvable(f"no cofactor solution at weight {wr}")
@@ -342,10 +345,11 @@ def _solve_in_slices(G, H, terms, wr, h_slice, g_slice, systems):
     system = systems.get(key)
     if system is None:
         system = systems[key] = _cofactor_system(G, H, h_slice.direction, *key)
-    rows, columns, elimination = system
+    k, rows, columns, elimination = system
+    start = origin[k]
     rhs = []
     for point, c in terms:
-        i = rows.get(exp_sub(point, origin))
+        i = rows.get(point[k] - start)
         if i is None:
             raise Unsolvable(f"no cofactor solution at weight {wr}")
         rhs.append((i, c))
@@ -360,27 +364,28 @@ def _solve_in_slices(G, H, terms, wr, h_slice, g_slice, systems):
 
 
 def _cofactor_system(G, H, direction, len_h, len_g, offset):
-    """Row-index map, column points and elimination of the cofactor matrix
-    with the columns (G, i*direction) for i < len_h and (H, offset +
-    i*direction) for i < len_g: column (F, point) holds F's coefficients at
-    the rows e + point."""
+    """The coordinate k in which the direction moves first, the row-index
+    map by the k-th coordinate, the column points and the elimination of
+    the cofactor matrix with the columns (G, i*direction) for i < len_h and
+    (H, offset + i*direction) for i < len_g: column (F, point) holds F's
+    coefficients at the rows e + point."""
     ring = G.ring
+    k = next(i for i, d in enumerate(direction) if d)
     columns = ([exp_scale(direction, i) for i in range(len_h)]
                + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
     rows = {}
-    entries = [(rows.setdefault(exp_add(e, point), len(rows)), col, c)
+    entries = [(rows.setdefault(e[k] + point[k], len(rows)), col, plain(c))
                for col, point in enumerate(columns)
                for e, c in (G if col < len_h else H).terms.items()]
     matrix = [[ring.zero()] * len(columns) for _ in rows]
     for i, col, c in entries:
         matrix[i][col] = c
-    return rows, columns, _eliminate_field(ring, matrix)
+    return k, rows, columns, _eliminate_field(ring, matrix)
 
 
 # -- the lifting loop -------------------------------------------------------------
 
-def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c),
-              caps=(None, None)):
+def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at weight ``N`` in the edge's own
@@ -388,7 +393,7 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
     dict, formed once; each step subtracts its two truncated products from
     it in place, and g, h and the step's solution are plain dicts.
     ``view(e, c)`` maps a residual term to the term the steps solve for: the
-    identity by default, where f lives over the residue field of G and H
+    identity when None, where f lives over the residue field of G and H
     (see _lift_over_residue_field), and the plane digit for ``padic``, which
     alone also passes ``embed(e, c)`` to carry a solved term back into f's
     ring.  The visible terms sit in buckets by weight under a heap of weight
@@ -400,8 +405,13 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
     step inconsistent within them is Unsolvable.  A system eliminated once
     serves every later step with its key; nothing is kept past the call.
     A bounded lift's exit weight is read layer by layer (_exit_weight).
+    Over Q the loop keeps integral coefficients as ints (coeffs.plain), which
+    Python multiplies without Fraction's normalization; the SparsePoly
+    results turn them back into Fractions.
     """
     ring = f.ring
+    modulus = ring.modulus   # None over Q, where nothing is reduced
+    weight_rows = ws.weight_rows
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
     wz = exp_add(w, z)
@@ -413,8 +423,9 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
     systems = {}
     buckets = {}   # weight -> {residual exponent: its visible term}
     keys = []      # heap of the deglex keys of the weights in buckets
-    placed = {}    # residual exponent -> the weight of its bucket
+    placed = {}    # residual exponent -> its bucket
     weights = {}   # visible exponent -> its weight, computed once
+    sums = {}      # e1 -> {e2: e1 + e2}: padic's g' and h' reuse few exponents
 
     def grow(terms, order, added, weight):
         """terms += added, of xi0 weight ``weight``; an exponent stays once
@@ -426,39 +437,53 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
 
     def multiply(delta, left, weight, right, order):
         """delta += left * right, for left's terms of xi0 weight ``weight``."""
-        pairs = []
-        for weight2, e2 in order:
-            if bound is not None and weight + weight2 > N:
-                break
-            pairs.append((e2, right[e2]))
         for e1, c1 in left:
-            for e2, c2 in pairs:
-                e = exp_add(e1, e2)
-                delta[e] = delta.get(e, 0) + c1 * c2
+            row = sums.get(e1)
+            if row is None:
+                row = sums[e1] = {}
+            for weight2, e2 in order:
+                if bound is not None and weight + weight2 > N:
+                    break
+                e = row.get(e2)
+                if e is None:
+                    e = row[e2] = exp_add(e1, e2)
+                delta[e] = delta.get(e, 0) + c1 * right[e2]
 
     def place(delta):
         """residual -= delta, then view and bucket the exponents it touched."""
         for e, c in delta.items():
-            if e in placed:
-                del buckets[placed.pop(e)][e]
-            c = ring.sub(residual.get(e, 0), c)
+            bucket = placed.pop(e, None)
+            if bucket is not None:
+                del bucket[e]
+            c = residual.get(e, 0) - c
+            if modulus is not None:
+                c %= modulus
             if not c:
                 residual.pop(e, None)
                 continue
             residual[e] = c
-            seen, c = view(e, c)
-            if seen not in weights:
-                weights[seen] = ws.weight(seen)
-            weight = placed[e] = weights[seen]
-            if weight not in buckets:  # the key's first entry is the sum <xi0, e>
-                buckets[weight] = {}
+            seen, c = (e, c) if view is None else view(e, c)
+            weight = weights.get(seen)
+            if weight is None:
+                weight = weights[seen] = tuple([exp_dot(v, seen) for v in weight_rows])
+            bucket = buckets.get(weight)
+            if bucket is None:  # the key's first entry is the sum <xi0, e>
+                bucket = buckets[weight] = {}
                 heappush(keys, deglex_key(weight))
-            buckets[weight][e] = seen, c
+            bucket[e] = seen, c
+            placed[e] = bucket
 
-    grow(g, g_order, [embed(e, c) for e, c in G.terms.items()], sum(w))
-    grow(h, h_order, [embed(e, c) for e, c in H.terms.items()], sum(z))
+    def embedded(part):
+        """part's terms as the loop keeps them, in f's ring."""
+        if embed is None:
+            return [(e, plain(c)) for e, c in part.items()]
+        return [embed(e, c) for e, c in part.items()]
+
+    w_total, z_total = sum(w), sum(z)
+    grow(g, g_order, embedded(G.terms), w_total)
+    grow(h, h_order, embedded(H.terms), z_total)
     start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
-    residual = (f - start).truncate(bound).terms
+    residual = {e: plain(c) for e, c in (f - start).truncate(bound).terms.items()}
     place(dict.fromkeys(residual, 0))   # bucket the residual as it stands
     while True:
         while keys and not buckets[keys[0][1]]:
@@ -472,7 +497,7 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
             raise Unsolvable(f"residual weight did not increase at {wmin}")
         previous = keys[0]
         step = exp_sub(wmin, wz)
-        if any(x < 0 for x in step):
+        if min(step) < 0:
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         initial = buckets[wmin].values()
         h_slice, g_slice = _cofactor_slices(G, H, w, z, next(iter(initial))[0], ws, wmin, caps)
@@ -482,9 +507,8 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
                                    solved=(len(h_part), len(g_part))))
         # g' and h' weigh wmin - z and wmin - w, and
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
-        g_weight, h_weight = total - sum(z), total - sum(w)
-        g_part = [embed(e, c) for e, c in g_part.items()]
-        h_part = [embed(e, c) for e, c in h_part.items()]
+        g_weight, h_weight = total - z_total, total - w_total
+        g_part, h_part = embedded(g_part), embedded(h_part)
         grow(h, h_order, h_part, h_weight)
         delta = {}
         multiply(delta, g_part, g_weight, h, h_order)
@@ -495,7 +519,7 @@ def _run_lift(f, ws, G, H, N, view=lambda e, c: (e, c), embed=lambda e, c: (e, c
         cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_order), (h, h_order)))
         return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
     g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
-    cert.exit_min_weight = min((exp_dot(ws.xi0, view(e, c)[0])
+    cert.exit_min_weight = min((exp_dot(ws.xi0, e if view is None else view(e, c)[0])
                                 for e, c in (f - g * h).terms.items()), default=None)
     return g, h, cert
 

@@ -8,6 +8,8 @@ unimodular transform, which also reports a kernel basis.
 
 from __future__ import annotations
 
+from .coeffs import plain
+
 
 def xgcd(a, b):
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
@@ -38,33 +40,42 @@ def _eliminate_field(ring, rows):
     Returns (nrows, ncols, pivots, ops): ``pivots`` lists the pivot column of
     each reduced row and ``ops`` holds, per pivot, the row swapped into place,
     the pivot's inverse and the (row, factor) eliminations, which
-    _apply_elimination replays on a right-hand side.
+    _apply_elimination replays on a right-hand side.  Entries are reduced
+    mod ring.modulus (none over Q) as they are formed, so a zero test is a
+    plain one; ``rows`` must hold reduced scalars (over Q, Fractions or
+    ints), and an integral inverse is kept as an int (coeffs.plain).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    modulus = ring.modulus
     a = [list(r) for r in rows]
     pivots = []
     ops = []
     r = 0
     for col in range(n):
-        pivot_row = next((i for i in range(r, m) if not ring.is_zero(a[i][col])), None)
-        if pivot_row is None:
+        for pivot_row in range(r, m):
+            if a[pivot_row][col]:
+                break
+        else:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         # Rows r.. are zero left of col, so the pivot row's nonzero entries,
         # all from col on, are the only columns an elimination changes.
         pivot = a[r]
-        inv = ring.invert(pivot[col])
-        support = [j for j in range(col, n) if not ring.is_zero(pivot[j])]
+        inv = plain(ring.invert(pivot[col]))
+        support = [j for j in range(col, n) if pivot[j]]
         for j in support:
             pivot[j] = ring.mul(pivot[j], inv)
         eliminations = []
-        for i in range(m):
-            row = a[i]
-            if i != r and not ring.is_zero(row[col]):
-                f = row[col]
-                for j in support:
-                    row[j] = ring.sub(row[j], ring.mul(f, pivot[j]))
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                if modulus is None:
+                    for j in support:
+                        row[j] -= f * pivot[j]
+                else:
+                    for j in support:
+                        row[j] = (row[j] - f * pivot[j]) % modulus
                 eliminations.append((i, f))
         pivots.append(col)
         ops.append((pivot_row, inv, eliminations))
@@ -74,21 +85,31 @@ def _eliminate_field(ring, rows):
 
 def _apply_elimination(ring, elimination, rhs):
     """Solve an eliminated system for the right-hand side given as
-    (row, value) pairs, every other entry zero; None when inconsistent."""
+    (row, value) pairs of reduced scalars, every other entry zero; None
+    when inconsistent.  Over Q the arithmetic is plain; modulo a modulus an
+    entry is reduced only where it is tested or read."""
     m, n, pivots, ops = elimination
+    modulus = ring.modulus
     b = [ring.zero()] * m
     for i, v in rhs:
         b[i] = v
-    for r, (pivot_row, inv, eliminations) in enumerate(ops):
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        if ring.is_zero(b[r]):
-            continue
-        v = b[r] = ring.mul(b[r], inv)
-        for i, f in eliminations:
-            b[i] = ring.sub(b[i], ring.mul(f, v))
-    for i in range(len(pivots), m):
-        if not ring.is_zero(b[i]):
-            return None
+    if modulus is None:
+        for r, (pivot_row, inv, eliminations) in enumerate(ops):
+            b[r], b[pivot_row] = b[pivot_row], b[r]
+            if b[r]:
+                v = b[r] = b[r] * inv
+                for i, f in eliminations:
+                    b[i] -= f * v
+    else:
+        for r, (pivot_row, inv, eliminations) in enumerate(ops):
+            b[r], b[pivot_row] = b[pivot_row], b[r]
+            v = b[r] = b[r] * inv % modulus
+            if v:
+                for i, f in eliminations:
+                    b[i] -= f * v
+        b = [v % modulus for v in b]
+    if any(b[len(pivots):]):
+        return None
     x = [ring.zero()] * n
     for i, col in enumerate(pivots):
         x[col] = b[i]

@@ -12,6 +12,7 @@ canonical-residue representatives, and a coefficient lambda at the point
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
@@ -240,19 +241,18 @@ def _plane(P):
 def _plane_term(ring):
     """The plane model term by term: c*y^j in Z/p^k[y] goes to the point
     (v_p(c), j) with the digit c / p^v_p(c) mod p."""
-    p = ring.p
-    # p^(2^i) for 2^i < k: a nonzero residue has v_p < k, so dividing out
-    # these blocks largest first finds v_p one binary digit at a time.
-    blocks = [(1 << i, p ** (1 << i)) for i in reversed(range((ring.k - 1).bit_length()))]
+    p, modulus = ring.p, ring.modulus
+    # A nonzero residue c has gcd(c, p^k) = p^v_p(c) with v_p(c) < k, and
+    # p^v has more bits than p^(v-1), so its bit length names v.
+    exponents = {}
+    power = 1
+    for v in range(ring.k):
+        exponents[power.bit_length()] = v
+        power *= p
 
     def term(e, c):
-        v = 0
-        for size, block in blocks:
-            q, rem = divmod(c, block)
-            if not rem:
-                c = q
-                v += size
-        return (v, e[0]), c % p
+        power = gcd(c, modulus)
+        return (exponents[power.bit_length()], e[0]), c // power % p
     return term
 
 
@@ -266,7 +266,7 @@ def _embed_term(ring):
         v, j = e
         if v not in powers:
             powers[v] = ring.p**v % ring.modulus
-        return (j,), int(lam) * powers[v]
+        return (j,), lam * powers[v]
     return term
 
 

@@ -51,9 +51,31 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def independent_rows(rows):
+    """A maximal linearly independent subset of integer rows, in order.
+
+    Each kept row is also stored reduced (fraction-free) against the rows
+    kept before it, so its first nonzero entry sits in a column where they
+    all vanish; a row that reduces to zero depends on them."""
+    kept, reduced = [], []
+    for row in rows:
+        r = list(row)
+        for b in reduced:
+            p = next(j for j, x in enumerate(b) if x)
+            if r[p]:
+                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
+        if any(r):
+            kept.append(row)
+            reduced.append(r)
+    return kept
+
+
 def cone_strict_point_exists(eqs, ineqs, strict, n):
     """Does { x : eqs.x = 0, ineqs.x >= 0 } contain a point strict on every
-    row listed in ``strict`` (indices into ineqs)?"""
+    row listed in ``strict`` (indices into ineqs)?  Rays come from n - 1
+    independent rows, so the equations are first cut to an independent
+    subset, which leaves the cone unchanged."""
+    eqs = independent_rows(eqs)
     need = n - 1 - len(eqs)
     if need < 0:
         return False

@@ -267,6 +267,51 @@ def test_solve_cofactor_matches_matrix_reference():
     assert outcomes["solved_overhang"] >= 30
 
 
+@pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 6).residue_field(),
+                                  residue_ring(5, 3).residue_field()],
+                         ids=["Q", "F7", "Z2^6", "Z5^3"])
+def test_the_step_solve_matches_solve_field(ring):
+    """The lift loop's step solve, _solve_in_slices with one ``systems``
+    dict kept across the solves of a split as _run_lift keeps it, returns
+    solve_field's solution of the explicit cofactor matrix and raises
+    Unsolvable exactly where solve_field finds it inconsistent, over Q, F_p
+    and the residue fields of Z/p^k (F_2 and F_5), on right-hand sides of
+    several terms and with capped columns."""
+    from edgelift.lift import _cofactor_slices, _solve_in_slices
+
+    rng = random.Random(f"step-solve-{ring}")
+    outcomes, reused = Counter(), 0
+    while min(outcomes[True], outcomes[False]) < 40:
+        n = rng.randint(2, 4)
+        ws = orthogonal_basis(random_direction(rng, n))
+        G, H = random_coprime_split(rng, ws, ring, g_content=True)
+        w = ws.weight(next(iter(G.terms)))
+        z = ws.weight(next(iter(H.terms)))
+        caps = tuple(rng.choice((None, 1, 2, 3, 4, 6)) for _ in range(2))
+        systems, solves = {}, 0
+        for _ in range(8):
+            i = ws.weight(tuple(rng.randint(0, 4) for _ in range(n)))
+            wr = exp_add(exp_add(w, z), i)
+            points = ws.slice(wr).points
+            start = rng.randrange(len(points)) if points else 0
+            r = SparsePoly(n, ring, {p: ring.from_int(rng.randint(-5, 5))
+                                     for p in points[start:start + rng.randint(2, 5)]})
+            if len(r) < 2:
+                continue
+            expected, _ = reference_cofactor(G, H, r, ws, caps)
+            slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr, caps)
+            if expected is None:
+                with pytest.raises(Unsolvable):
+                    _solve_in_slices(G, H, r.terms.items(), wr, *slices, systems)
+            else:
+                parts = _solve_in_slices(G, H, r.terms.items(), wr, *slices, systems)
+                assert tuple(SparsePoly(n, ring, part) for part in parts) == expected
+            outcomes[expected is None] += 1
+            solves += 1
+        reused += solves - len(systems)
+    assert reused >= 20
+
+
 def test_cofactor_composition_property():
     # solvability for (G, H1) and (G, H2) extends to (G, H1*H2)
     rng = random.Random(321)

@@ -11,8 +11,8 @@ from edgelift.newton import (DimensionMismatch, NotAnEdge, ZeroPolynomial,
                              is_loose, is_polygonal, minkowski)
 from edgelift.poly import SparsePoly
 
-from oracles import (cone_strict_point_exists, oracle_edges, oracle_is_loose,
-                     oracle_vertices)
+from oracles import (cone_strict_point_exists, independent_rows, oracle_edges,
+                     oracle_is_loose, oracle_vertices)
 
 Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
@@ -244,6 +244,15 @@ def test_oracle_agreement_focused():
     assert many >= 20
 
 
+def test_the_oracle_cuts_dependent_equations_to_an_independent_subset():
+    # xi = (1, 1) vanishes on both equations and is positive on the orthant
+    eqs = [(1, -1), (2, -2)]
+    assert cone_strict_point_exists(eqs, [(1, 0), (0, 1)], range(2), 2)
+    assert _positive_xi(eqs, [], True, 2)
+    assert independent_rows([(1, 2, 3), (0, 0, 0), (2, 4, 6), (0, 1, 1), (1, 3, 4)]) \
+        == [(1, 2, 3), (0, 1, 1)]
+
+
 def test_positive_xi_agrees_with_the_oracle_in_both_forms():
     # Random cones on both sides of the rule: the row form for at most n + 1
     # vectors, the column form for more.  Half of them are built around a
@@ -259,10 +268,7 @@ def test_positive_xi_agrees_with_the_oracle_in_both_forms():
             if xi:  # project r onto the hyperplane orthogonal to xi
                 r = [x * sum(c * c for c in xi) - sum(map(mul, r, xi)) * c
                      for x, c in zip(r, xi)]
-            # the oracle enumerates rays from linearly independent equations
-            parallel = eqs and not any(eqs[0][i] * r[j] - eqs[0][j] * r[i]
-                                       for i in range(n) for j in range(i))
-            if any(r) and not parallel:
+            if any(r):
                 eqs.append(tuple(r))
         ineqs = []
         for _ in range(rng.randint(0, 9)):

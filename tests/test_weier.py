@@ -432,8 +432,8 @@ def test_padic_requires_unit_leading_coefficient():
 
 
 def test_plane_valuations_match_naive_loop():
-    """The plane model's blockwise v_p agrees with stripping one factor of p
-    at a time, from units up to c = p^(k-1)."""
+    """The plane model's v_p, read off gcd(c, p^k), agrees with stripping
+    one factor of p at a time, from units up to c = p^(k-1)."""
     from edgelift.weier import _plane
 
     rng = random.Random(1024)
