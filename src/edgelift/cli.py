@@ -97,12 +97,9 @@ def _load_expression(args):
     return args.expression
 
 
-def _setup(args, full_residues=False):
-    """Ring, variables and polynomial; ``full_residues``: the report prints
-    residues mod p^k, so a --field str() cannot print is refused first."""
+def _setup(args):
+    """Ring, variables and polynomial."""
     ring = RingDescriptor.from_string(args.field)
-    if full_residues:
-        _refuse_unprintable_modulus(ring, f"--field {args.field}")
     vars_ = expr.VarTable.split(args.vars)
     f = expr.parse(_load_expression(args), vars_, ring)
     return ring, vars_, f
@@ -238,7 +235,7 @@ def cmd_factor(args):
 
 def cmd_weierstrass(args):
     _check_bound(args)
-    ring, vars_, f = _setup(args, full_residues=True)
+    ring, vars_, f = _setup(args)
     wi = weier.WeierstrassInput(f)
     split = _parse_split(args, vars_, ring)
     if args.edge is not None:
@@ -250,23 +247,17 @@ def cmd_weierstrass(args):
     rest, split = lift._first_split(f, edges, split, monic_last=True)
     if isinstance(split, lift.EdgePrimePower):
         return _power_report("no_coprime_split", split, vars_), EXIT_INCONCLUSIVE
-    gbar, hbar, cert = weier.lift_monic(wi, rest, split, args.bound)
-    d = max(e[-1] for e in split.G.terms)
-    # the lift determines g to xi0 weight N - wt(H), h to N - wt(G) and the unit
-    # to N - wt(G) - wt(H); below the edge's weight the caps keep G, H and 1
-    N, wt_g, wt_h, xi0 = args.bound, sum(cert.w), sum(cert.z), rest.ws.xi0
-    unit, g = weier.weierstrass_normalize(gbar, d, WeightedBound(xi0, max(N - wt_h, wt_g)))
-    h, remainder = weier.poly_divide(f, g, WeightedBound(xi0, max(N, wt_g + wt_h)))
-    bound = WeightedBound(xi0, N)
+    g, h, cert = weier.lift_monic(wi, rest, split, args.bound)
+    # the lift's contract: f - g*h vanishes up to N in xi0, in the residue field
+    bound = WeightedBound(rest.ws.xi0, args.bound)
     residual = (f - g.mul(h, bound)).truncate(bound)
     return {
         "verdict": "factored",
         "edge": rest.edge.to_dict(),
         "g": expr.render(g, vars_),
         "h": expr.render(h, vars_),
-        "unit": expr.render(unit, vars_),
-        "division_remainder": expr.render(remainder, vars_),
-        "residual_within_bound": expr.render(residual, vars_),
+        "residual_within_bound": expr.render(
+            residual.map_coefficients(ring.residue_field(), ring.to_residue), vars_),
         "certificate": cert.to_dict(),
     }, EXIT_OK
 

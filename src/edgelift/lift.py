@@ -107,21 +107,14 @@ class EdgePrimePower:
 
 @dataclass
 class LiftStep:
-    """One step of the lifting loop.
-
-    In ``factor`` and ``weierstrass`` reports ``weight`` is the residual's
-    least weight minus w + z, and ``slice_dims`` counts the h'- and
-    g'-columns of the step's cofactor system.  In ``padic`` reports
-    ``weight`` is the least weight itself and ``slice_dims`` counts the
-    nonzero terms of the solved h' and g' (``solved``).  The two meanings
-    differ only so that the reports stay what they were.
-    """
+    """One step of the lifting loop: ``weight`` is the residual's least
+    weight minus w + z, and ``slice_dims`` counts the h'- and g'-columns of
+    the step's cofactor system, within the lift's caps."""
 
     weight: tuple
     slice_dims: tuple
     residual_before: int
     residual_after: int | None = None
-    solved: tuple = ()
 
     def to_dict(self):
         return {
@@ -424,7 +417,6 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     buckets = {}   # weight -> {residual exponent: its visible term}
     keys = []      # heap of the deglex keys of the weights in buckets
     placed = {}    # residual exponent -> its bucket
-    weights = {}   # visible exponent -> its weight, computed once
     sums = {}      # e1 -> {e2: e1 + e2}: padic's g' and h' reuse few exponents
 
     def grow(terms, order, added, weight):
@@ -463,9 +455,7 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
                 continue
             residual[e] = c
             seen, c = (e, c) if view is None else view(e, c)
-            weight = weights.get(seen)
-            if weight is None:
-                weight = weights[seen] = tuple([exp_dot(v, seen) for v in weight_rows])
+            weight = tuple([exp_dot(v, seen) for v in weight_rows])
             bucket = buckets.get(weight)
             if bucket is None:  # the key's first entry is the sum <xi0, e>
                 bucket = buckets[weight] = {}
@@ -503,8 +493,7 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         h_slice, g_slice = _cofactor_slices(G, H, w, z, next(iter(initial))[0], ws, wmin, caps)
         h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_slice, g_slice, systems)
         total = sum(wmin)
-        cert.steps.append(LiftStep(step, (h_slice.count, g_slice.count), total,
-                                   solved=(len(h_part), len(g_part))))
+        cert.steps.append(LiftStep(step, (h_slice.count, g_slice.count), total))
         # g' and h' weigh wmin - z and wmin - w, and
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
         g_weight, h_weight = total - z_total, total - w_total
@@ -552,12 +541,14 @@ def _exit_weight(f, N, xi0, factors):
     return None
 
 
-def _lift_over_residue_field(f, ws, split, N):
-    """_run_lift on f over the residue field (f mod p over Z/p^k); g and h
-    come back into f's ring as canonical residues."""
+def _lift_over_residue_field(f, ws, split, N, caps=(None, None)):
+    """_run_lift on f over the residue field (f mod p over Z/p^k), with the
+    (h', g') column caps ``caps``; g and h come back into f's ring as
+    canonical residues."""
     ring = f.ring
     K = ring.residue_field()
-    g, h, cert = _run_lift(f.map_coefficients(K, ring.to_residue), ws, split.G, split.H, N)
+    g, h, cert = _run_lift(f.map_coefficients(K, ring.to_residue), ws, split.G, split.H, N,
+                           caps=caps)
     return SparsePoly(f.nvars, ring, g.terms), SparsePoly(f.nvars, ring, h.terms), cert
 
 

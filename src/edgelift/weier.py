@@ -19,7 +19,7 @@ from .coeffs import is_prime, prime_field, residue_ring
 from .lift import (EdgePrimePower, LiftError, _first_split, _lift_over_residue_field,
                    _require_edge, _run_lift, _top_in_last, _validate_split)
 from .lift import NotDescendant  # noqa: F401  (raised by the monic lift; re-exported)
-from .poly import SparsePoly, WeightedBound, exp_add
+from .poly import SparsePoly, WeightedBound
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
@@ -58,16 +58,24 @@ def descendant_loose_edges(wi):
 def lift_monic(wi, rest, split, N):
     """The lifting loop under the monic hypothesis, up to weight N in
     rest.ws.xi0 (rest as for lift_factorization): the edge must be loose and
-    descendant and G monic in y; G need not avoid variable factors."""
+    descendant and G monic in y; G need not avoid variable factors.
+
+    Every step keeps deg_y g' < d = deg_y G: a step's solution is fixed only
+    up to (g' - t*G, h' + t*H), and the cap is the Hensel step's choice of
+    t.  So g is G plus terms heavier than wt(G), none a bare y^j (which
+    weighs less for j < d): g is a Weierstrass polynomial, g(0, y) = y^d,
+    and h its cofactor.
+    """
     f = wi.f
     _require_edge(rest.edge, descendant=True)
     _validate_split(split, rest.poly)
     d, top = _top_in_last(split.G)
     if top != split.G.ring.one():
         raise NotMonic("G must be monic in the last variable")
-    gbar, hbar, cert = _lift_over_residue_field(f, rest.ws, split, N)
-    assert gbar.coeff((0,) * (f.nvars - 1) + (d,)) == f.ring.one()
-    return gbar, hbar, cert
+    g, h, cert = _lift_over_residue_field(f, rest.ws, split, N, (None, d - 1))
+    assert {e: c for e, c in g.terms.items() if not any(e[:-1])} == {
+        (0,) * (f.nvars - 1) + (d,): f.ring.one()}, "g(0, y) is not y^d"
+    return g, h, cert
 
 
 # -- Weierstrass preparation -----------------------------------------------------
@@ -337,9 +345,6 @@ def _padic_lift(pp, rest, split):
                            _embed_term(f.ring), caps)
     assert cert.exit_min_weight is None, "p-adic product check failed: f - g*h is not 0"
     cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
-    for step in cert.steps:
-        step.weight = exp_add(step.weight, exp_add(cert.w, cert.z))
-        step.slice_dims = step.solved
     return _dense(g), _dense(h), cert
 
 

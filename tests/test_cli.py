@@ -198,63 +198,20 @@ def test_padic_refuses_a_modulus_it_cannot_print_before_lifting(limit, prec, ref
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no int-to-string limit")
-@pytest.mark.parametrize("limit, k, refused", [
-    (640, 1341, False),  # 3^1341 has 640 decimal digits
-    (640, 1342, True),   # 641 digits
-    (640, 4 * 640 + 1, True),  # past 4*limit, refused without forming 3^k
-    (0, 9100, False),    # 0 means no limit
-])
-def test_weierstrass_refuses_a_field_it_cannot_print_before_parsing(limit, k, refused,
-                                                                   monkeypatch, capsys):
-    """weierstrass prints residues mod p^k of full size, so a --field whose
-    p^k str() cannot convert exits 3 before the expression is parsed."""
-    def no_lift(*args):
-        raise LiftRan
-
-    def no_parse(*args):
-        raise AssertionError("the expression was parsed")
-
-    def no_power(ring):
-        raise AssertionError("p^k formed")
-
-    monkeypatch.setattr(edgelift.weier, "lift_monic", no_lift)
-    if refused:
-        monkeypatch.setattr(edgelift.expr, "parse", no_parse)
-    if k > 4 * limit > 0:
-        monkeypatch.setattr(edgelift.coeffs.RingDescriptor, "modulus", property(no_power))
-    argv = ["weierstrass", "--field", f"Z/3^{k}", "--vars", "x,y", "--bound", "60",
-            "y^2 - x^2 - x^3"]
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        if refused:
-            assert main(argv) == 3
-        else:
-            with pytest.raises(LiftRan):
-                main(argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    if refused:
-        assert json.loads(captured.err) == {"error": (
-            f"--field Z/3^{k}: 3^{k} has more than {limit} decimal digits, "
-            "past this interpreter's int-to-string limit")}
-
-
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python has no int-to-string limit")
 def test_factor_over_a_field_past_the_int_string_limit_still_prints(capsys):
-    """factor prints residues of an F_p lift, so its --field has no such
-    limit."""
+    """factor and weierstrass print residues of an F_p lift, so their
+    --field has no such limit."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code, report = run(capsys, ["factor", "--field", "Z/3^1342", "--vars", "x,y",
-                                    "--bound", "10", "y^2 - x^2 - x^3"])
+        reports = [run(capsys, [command, "--field", "Z/3^1342", "--vars", "x,y",
+                                "--bound", "10", "y^2 - x^2 - x^3"])
+                   for command in ("factor", "weierstrass")]
     finally:
         sys.set_int_max_str_digits(saved)
-    assert code == 0 and report["verdict"] == "reducible"
+    assert [(code, report["verdict"]) for code, report in reports] == [
+        (0, "reducible"), (0, "factored")]
+    assert reports[1][1]["residual_within_bound"] == "0"
 
 
 def test_verify_pass_and_fail(capsys):
@@ -277,28 +234,33 @@ def test_verify_with_edge_weights(capsys):
     assert code2 == 0 and verdict["pass"] is True
 
 
+def x_free_part(text, names, ring=rationals()):
+    """The terms of a printed factor free of every variable but the last."""
+    return {e: c for e, c in parse(text, VarTable(names), ring).terms.items() if not any(e[:-1])}
+
+
 def test_weierstrass_command(capsys):
     code, report = run(capsys, [
         "weierstrass", "y^8 + (x1^3 - x2^2)*y^3 + x1^5*x2^4*y^2 - x1^15*x2^18",
         "--vars", "x1,x2,y", "--bound", "30"])
     assert code == 0
     assert report["verdict"] == "factored"
-    assert report["g"].startswith("y")
+    assert x_free_part(report["g"], ("x1", "x2", "y")) == {(0, 0, 1): 1}   # g(0, y) = y
     assert report["residual_within_bound"] == "0"
-    assert report["division_remainder"] == "0"
+    assert not {"unit", "division_remainder"} & set(report)
 
 
 @pytest.mark.parametrize("bound", ["0", "32"])
 def test_weierstrass_below_the_edge_weight_prints_the_split(bound, capsys):
     # Example 3's edge weighs wt(G) + wt(H) = 12 + 21 = 33 in xi0 = (1, 1, 12):
-    # a bound below it determines nothing past G, H and the unit 1
+    # a bound below it determines nothing past G and H
     code, report = run(capsys, ["weierstrass", EXAMPLE3, "--vars", "x1,x2,y",
                                 "--bound", bound])
     assert code == 0
     assert (sum(report["certificate"]["w"]), sum(report["certificate"]["z"])) == (12, 21)
-    assert (report["g"], report["h"], report["unit"]) == (
-        "y - x1^5*x2^7", "x1^5*x2^4*y + x1^10*x2^11", "1")
-    assert report["division_remainder"] == report["residual_within_bound"] == "0"
+    assert (report["g"], report["h"]) == ("y - x1^5*x2^7", "x1^5*x2^4*y + x1^10*x2^11")
+    assert x_free_part(report["g"], ("x1", "x2", "y")) == {(0, 0, 1): 1}
+    assert report["residual_within_bound"] == "0"
 
 
 SPLIT_ARGV = ["--vars", "x,y", "--split", "y-x,y+x", "y^2 - x^2 + x^3"]
@@ -318,19 +280,39 @@ SPLIT_ARGV = ["--vars", "x,y", "--split", "y-x,y+x", "y^2 - x^2 + x^3"]
         "weierstrass-Z5^3", "factor-example1", "factor-Q", "factor-F7", "factor-Z5^3"])
 def test_printed_factors_are_prefixes_across_bounds(command, argv, bounds, capsys):
     # At bound N, in the xi0 weights of the lifted edge, g is determined up to
-    # N - wt(H), h up to N - wt(G) and the Weierstrass unit up to
-    # N - wt(G) - wt(H): every printed term is a term of the output at a
-    # larger bound, and every term of that output up to these weights is printed.
+    # N - wt(H) and h up to N - wt(G): every printed term is a term of the
+    # output at a larger bound, and every term of that output up to these
+    # weights is printed.  weierstrass's g is a Weierstrass polynomial at
+    # every bound: g(0, y) = y.
     names = (argv[argv.index("--vars") + 1] if "--vars" in argv else "x,y,z").split(",")
     ring = RingDescriptor.from_string(argv[argv.index("--field") + 1] if "--field" in argv
                                       else "Q")
     report, larger = (run(capsys, [command, *argv, "--bound", str(n)])[1] for n in bounds)
     xi0 = orthogonal_basis(report["edge"]["dir"]).xi0
     wt_g, wt_h = sum(report["certificate"]["w"]), sum(report["certificate"]["z"])
-    determined = {"g": bounds[0] - wt_h, "h": bounds[0] - wt_g, "unit": bounds[0] - wt_g - wt_h}
-    for key in ("g", "h", "unit") if command == "weierstrass" else ("g", "h"):
+    determined = {"g": bounds[0] - wt_h, "h": bounds[0] - wt_g}
+    for key in ("g", "h"):
         terms, more = (parse(r[key], VarTable(names), ring).terms for r in (report, larger))
         assert terms == {e: c for e, c in more.items() if exp_dot(xi0, e) <= determined[key]}, key
+    if command == "weierstrass":
+        y = (0,) * (len(names) - 1) + (1,)
+        assert [x_free_part(r["g"], names, ring) for r in (report, larger)] == [{y: 1}] * 2
+
+
+def test_weierstrass_runs_no_normalize_or_divide(monkeypatch, capsys):
+    """The lift's own g is the Weierstrass polynomial; the tail functions
+    stay library functions that the command does not call."""
+    def tail(*args):
+        raise AssertionError("the Weierstrass tail ran")
+
+    monkeypatch.setattr(edgelift.weier, "weierstrass_normalize", tail)
+    monkeypatch.setattr(edgelift.weier, "poly_divide", tail)
+    for field in ("Q", "F7", "Z/5^3"):
+        code, report = run(capsys, ["weierstrass", "--field", field, *SPLIT_ARGV,
+                                    "--bound", "12"])
+        assert (code, report["verdict"], report["residual_within_bound"]) == (0, "factored", "0")
+        assert x_free_part(report["g"], ("x", "y"), RingDescriptor.from_string(field)) == {
+            (0, 1): 1}
 
 
 def test_weierstrass_invalid_split(capsys):

@@ -7,8 +7,9 @@ import pytest
 from edgelift.coeffs import prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse, render
 from edgelift.grading import orthogonal_basis
-from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, UNIT_PART, InvalidSplit,
-                           LiftError, SplitRequest, _split_from_restriction,
+from edgelift.lift import (NOT_COPRIME, PRODUCT_MISMATCH, UNIT_PART, EmptyFace,
+                           InvalidSplit, LiftError, SplitRequest, _first_split,
+                           _lift_over_residue_field, _split_from_restriction,
                            edge_restriction)
 from edgelift.newton import build
 from edgelift.poly import SparsePoly, WeightedBound
@@ -372,6 +373,63 @@ def test_monic_pipeline_bound_stability():
     assert h1.truncate(WeightedBound(ws.xi0, 30 - w)) == h2.truncate(WeightedBound(ws.xi0, 30 - w))
     # and the monic factor is monic at both bounds
     assert g1.coeff((0, 0, 1)) == 1 and g2.coeff((0, 0, 1)) == 1
+
+
+def _random_monic_route(rng, ring):
+    """f monic in y of degree D, with random x-divisible lower terms."""
+    nx = rng.randint(1, 2)
+    top = rng.randint(2, 5)
+    terms = {(0,) * nx + (top,): ring.one()}
+    for _ in range(rng.randint(2, 6)):
+        e = tuple(rng.randint(0, 6) for _ in range(nx)) + (rng.randint(0, top - 1),)
+        if any(e[:-1]):
+            terms[e] = ring.from_fraction(Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)),
+                                                   rng.choice((1, 1, 2))))
+    return SparsePoly(nx + 1, ring, terms)
+
+
+def test_the_capped_monic_lift_is_the_weierstrass_tail_of_the_plain_lift():
+    # With deg_y g' < deg_y G at every step, lift_monic's g is the Weierstrass
+    # polynomial of the uncapped lift's g and h the quotient of f by it, at
+    # the weights the lift determines: the tail the CLI no longer runs.  Over
+    # Z/p^k the lift runs over F_p, so there g(0, y) = y^d and f - g*h
+    # vanishes mod p up to N.
+    rng = random.Random(20261020)
+    rings = (Q, prime_field(7), residue_ring(5, 3))
+    checked = dict.fromkeys(rings, 0)
+    degrees = set()
+    for trial in range(450):
+        ring = rings[trial % 3]
+        f = _random_monic_route(rng, ring)
+        wi = WeierstrassInput(f)
+        edges = descendant_loose_edges(wi)
+        if not edges:
+            continue
+        try:
+            rest, split = _first_split(f, edges, monic_last=True)
+        except EmptyFace:
+            continue
+        if not isinstance(split, SplitRequest):
+            continue
+        xi0 = rest.ws.xi0
+        w, z = (sum(rest.ws.weight(next(iter(P.terms)))) for P in (split.G, split.H))
+        N = w + z + rng.randint(-3, 25)
+        g, h, _ = lift_monic(wi, rest, split, N)
+        d = max(e[-1] for e in split.G.terms)
+        degrees.add(d)
+        assert {e: c for e, c in g.terms.items() if not any(e[:-1])} == {
+            (0,) * (f.nvars - 1) + (d,): 1}
+        if ring.residue_field() == ring:
+            gbar, _, _ = _lift_over_residue_field(f, rest.ws, split, N)
+            _, g_ref = weierstrass_normalize(gbar, d, WeightedBound(xi0, max(N - z, w)))
+            h_ref, _ = poly_divide(f, g_ref, WeightedBound(xi0, max(N, w + z)))
+            assert (g, h) == (g_ref, h_ref)
+        else:
+            bound = WeightedBound(xi0, N)
+            residual = (f - g.mul(h, bound)).truncate(bound)
+            assert all(c % ring.p == 0 for c in residual.terms.values())
+        checked[ring] += 1
+    assert min(checked.values()) >= 25 and max(degrees) >= 2
 
 
 # -- p-adic ----------------------------------------------------------------------
