@@ -1,14 +1,18 @@
 """Exact coefficient arithmetic for the supported rings.
 
 Three coefficient rings are available: the rationals Q, prime fields F_p,
-and truncated residue rings Z/p^k.  Scalar values are plain Python objects
-(``Fraction`` over Q, canonical integer residues in ``[0, p^k)`` otherwise);
-a :class:`RingDescriptor` supplies the arithmetic.  Everything is exact --
-no floating point anywhere.
+and truncated residue rings Z/p^k.  Scalar values are plain Python objects in
+one canonical form: over Q an ``int`` when integral and otherwise a
+``Fraction`` with denominator above 1, elsewhere an integer residue in
+``[0, p^k)``.  A :class:`RingDescriptor` supplies the arithmetic and hands out
+canonical scalars, except that over Q ``add``, ``sub`` and ``mul`` return
+Python's own result (two Fractions may add up to an integral one) for
+``normalize`` to settle.  Everything is exact -- no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +23,8 @@ PRIME_FIELD = "F"
 RESIDUE_RING = "Z"
 
 PRIME_BOUND = 2**31
+
+_DESCRIPTOR = re.compile(r"Q|F([0-9]+)|Z/([0-9]+)(?:\^([0-9]+))?")
 
 
 class NotInvertible(ArithmeticError):
@@ -80,15 +86,19 @@ class RingDescriptor:
 
     @staticmethod
     def from_string(text):
+        """The ring of "Q", "F<p>", "Z/<p>" or "Z/<p>^<k>", p and k in ASCII
+        digits; surrounding whitespace is ignored."""
         text = text.strip()
-        if text == "Q":
-            return rationals()
-        if text.startswith("F"):
-            return prime_field(int(text[1:]))
-        if text.startswith("Z/"):
-            base, _, exp = text[2:].partition("^")
-            return residue_ring(int(base), int(exp) if exp else 1)
-        raise ValueError(f"cannot parse ring descriptor {text!r}")
+        match = _DESCRIPTOR.fullmatch(text)
+        if match is None:
+            raise ValueError(f"cannot parse ring descriptor {text!r}: expected Q, F<p>, "
+                             "Z/<p> or Z/<p>^<k> with p and k in decimal digits")
+        prime, base, exp = match.groups()
+        if prime:
+            return prime_field(int(prime))
+        if base:
+            return residue_ring(int(base), int(exp or 1))
+        return rationals()
 
     # -- basic queries -------------------------------------------------------
 
@@ -102,28 +112,31 @@ class RingDescriptor:
     # -- element arithmetic --------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == RATIONALS else 1
+        return 1
 
     def from_int(self, n):
-        if self.kind == RATIONALS:
-            return Fraction(n)
-        return n % self.modulus
+        return self.normalize(n)
 
     def from_fraction(self, q):
         """Map a rational into the ring; the denominator must be a unit."""
-        q = Fraction(q)
         if self.kind == RATIONALS:
-            return q
+            return self.normalize(q)
+        q = Fraction(q)
         return self.mul(self.from_int(q.numerator), self.invert(self.from_int(q.denominator)))
 
     def normalize(self, a):
-        """Canonical form: reduced Fraction over Q, residue in [0, p^k) otherwise."""
+        """Canonical form: over Q an int when integral and otherwise a reduced
+        Fraction, whose denominator is then above 1; a residue in [0, p^k)
+        otherwise."""
         if self.kind == RATIONALS:
-            # A Fraction is immutable and already reduced.
-            return a if isinstance(a, Fraction) else Fraction(a)
+            if a.__class__ is int:
+                return a
+            if a.__class__ is not Fraction:
+                a = Fraction(a)
+            return a.numerator if a.denominator == 1 else a
         return a % self.modulus
 
     def is_zero(self, a):
@@ -149,14 +162,14 @@ class RingDescriptor:
         if self.kind == RATIONALS:
             if a == 0:
                 raise NotInvertible("division by zero")
-            return 1 / Fraction(a)
+            return self.normalize(1 / Fraction(a))
         a = a % self.modulus
         if a == 0 or a % self.p == 0:
             raise NotInvertible(f"{a} is not a unit in {self}")
         return pow(a, -1, self.modulus)
 
     def div(self, a, b):
-        return self.mul(a, self.invert(b))
+        return self.normalize(self.mul(a, self.invert(b)))
 
     def is_unit(self, a):
         if self.kind == RATIONALS:
@@ -176,15 +189,6 @@ class RingDescriptor:
         if self.kind == RESIDUE_RING:
             return a % self.p
         return a
-
-
-def plain(a):
-    """The scalar a in the form Python computes with fastest: an integral
-    Fraction as its int numerator, whose arithmetic skips Fraction's gcd
-    normalization; anything else unchanged.  The two are equal as numbers,
-    and normalize (so the SparsePoly constructor) turns the int back into a
-    Fraction over Q."""
-    return a.numerator if a.__class__ is Fraction and a.denominator == 1 else a
 
 
 def rationals():

@@ -16,8 +16,8 @@ through :func:`parse`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 from operator import itemgetter
@@ -124,6 +124,7 @@ class _Parser:
                     n, pos = self.power(pos)
                     exponent[i] += 1 if n is None else n
                 elif token.isdigit():
+                    literal = pos - 1
                     a, b = int(token), 1
                     if tokens[pos] == "/":
                         if not tokens[pos + 1].isdigit():
@@ -137,12 +138,14 @@ class _Parser:
                         pos += 2
                     n, pos = self.power(pos)
                     if n is not None:   # mod p^k, so 3^1000000000 stays small
+                        self.refuse_long_power(a, b, n, literal)
                         a, b = pow(a, n, modulus), pow(b, n, modulus)
                     num, den = num * a, den * b
                 elif token == "(":
                     if depth == _MAX_NESTING:
                         raise ParseError(self.at(pos - 1),
                                          f"at most {_MAX_NESTING} nested parentheses")
+                    literal = pos - 1
                     f, pos = self.expr(pos, depth + 1)
                     if tokens[pos] != ")":
                         raise ParseError(self.at(pos), "')'")
@@ -154,6 +157,7 @@ class _Parser:
                     elif f:
                         ((e, c),) = f.terms.items()
                         if n is not None:
+                            self.refuse_long_power(c.numerator, c.denominator, n, literal)
                             e, c = exp_scale(e, n), pow(c, n, modulus)
                         exponent[:] = exp_add(exponent, e)
                         num, den = num * c.numerator, den * c.denominator
@@ -167,7 +171,7 @@ class _Parser:
                     break
                 pos += 1
             if num:
-                c = ring.from_fraction(Fraction(num, den) if den != 1 else num)
+                c = ring.div(num, den)
                 terms = {tuple(exponent): c} if product is None else {
                     exp_add(exponent, e): c * c2 for e, c2 in product.terms.items()}
                 for e, c in terms.items():
@@ -176,6 +180,21 @@ class _Parser:
                 return SparsePoly(self.nvars, ring, out), pos
             sign = 1 if tokens[pos] == "+" else -1
             pos += 1
+
+    def refuse_long_power(self, a, b, n, literal):
+        """ParseError at token ``literal`` when a^n or b^n, formed in full over
+        Q, has more decimal digits than sys.get_int_max_str_digits() (0, or
+        a Python without it, is no limit).  v^n lies in [2^(n*(bits-1)),
+        2^(n*bits)) and 2^(3*limit) < 10^limit < 2^(4*limit), so only a power
+        near the limit is formed to decide."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.ring.modulus is not None or not limit:
+            return
+        for v in map(abs, (a, b)):
+            bits = v.bit_length()
+            if n * (bits - 1) >= 4 * limit or (n * bits > 3 * limit and v**n >= 10**limit):
+                raise ParseError(self.at(literal),
+                                 f"a literal power of at most {limit} decimal digits")
 
     def power(self, pos):
         """The n of a '^ n' at token ``pos``, None without one, and the

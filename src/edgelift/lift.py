@@ -18,7 +18,6 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import newton
-from .coeffs import plain
 from .grading import WeightSystem, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
@@ -287,7 +286,7 @@ def _cofactor_slices(G, H, w, z, p, ws, wr, caps=(None, None)):
             ws.slice(exp_sub(wr, z), exp_sub(p, beta), g_cap))
 
 
-def solve_cofactor(G, H, r, ws, max_last_exp=None):
+def solve_cofactor(G, H, r, ws, caps=(None, None)):
     """Solve G*h' + H*g' = r inside the graded pieces.
 
     Unknowns are the coefficients of h' and g' on the lattice bases of their
@@ -295,8 +294,8 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     term of r that no column reaches makes the system inconsistent.  Columns
     are ordered h'-block then g'-block, each in slice order (steps along the
     edge direction), and the first valid pivot in that order is taken, so
-    the solution with all free coordinates zero is deterministic.  ``max_last_exp`` optionally caps the
-    last-variable exponent of the slice bases as a (h_cap, g_cap) pair.
+    the solution with all free coordinates zero is deterministic.  ``caps``,
+    a (h_cap, g_cap) pair, caps the last-variable exponent of the slices.
     Raises Unsolvable when the system is inconsistent, which signals a
     violated hypothesis (or too tight a cap).
     """
@@ -309,8 +308,7 @@ def solve_cofactor(G, H, r, ws, max_last_exp=None):
     w = _uniform_weight(G, ws)  # G and H must be weight-homogeneous too
     z = _uniform_weight(H, ws)
     wr = _uniform_weight(r, ws)
-    slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr,
-                              max_last_exp or (None, None))
+    slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr, caps)
     parts = _solve_in_slices(G, H, r.terms.items(), wr, *slices, {})
     return tuple(SparsePoly(r.nvars, ring, part) for part in parts)
 
@@ -367,7 +365,7 @@ def _cofactor_system(G, H, direction, len_h, len_g, offset):
     columns = ([exp_scale(direction, i) for i in range(len_h)]
                + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
     rows = {}
-    entries = [(rows.setdefault(e[k] + point[k], len(rows)), col, plain(c))
+    entries = [(rows.setdefault(e[k] + point[k], len(rows)), col, c)
                for col, point in enumerate(columns)
                for e, c in (G if col < len_h else H).terms.items()]
     matrix = [[ring.zero()] * len(columns) for _ in rows]
@@ -398,9 +396,6 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     step inconsistent within them is Unsolvable.  A system eliminated once
     serves every later step with its key; nothing is kept past the call.
     A bounded lift's exit weight is read layer by layer (_exit_weight).
-    Over Q the loop keeps integral coefficients as ints (coeffs.plain), which
-    Python multiplies without Fraction's normalization; the SparsePoly
-    results turn them back into Fractions.
     """
     ring = f.ring
     modulus = ring.modulus   # None over Q, where nothing is reduced
@@ -466,14 +461,14 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     def embedded(part):
         """part's terms as the loop keeps them, in f's ring."""
         if embed is None:
-            return [(e, plain(c)) for e, c in part.items()]
+            return part.items()
         return [embed(e, c) for e, c in part.items()]
 
     w_total, z_total = sum(w), sum(z)
     grow(g, g_order, embedded(G.terms), w_total)
     grow(h, h_order, embedded(H.terms), z_total)
     start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
-    residual = {e: plain(c) for e, c in (f - start).truncate(bound).terms.items()}
+    residual = (f - start).truncate(bound).terms
     place(dict.fromkeys(residual, 0))   # bucket the residual as it stands
     while True:
         while keys and not buckets[keys[0][1]]:

@@ -8,8 +8,6 @@ unimodular transform, which also reports a kernel basis.
 
 from __future__ import annotations
 
-from .coeffs import plain
-
 
 def xgcd(a, b):
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
@@ -42,8 +40,7 @@ def _eliminate_field(ring, rows):
     the pivot's inverse and the (row, factor) eliminations, which
     _apply_elimination replays on a right-hand side.  Entries are reduced
     mod ring.modulus (none over Q) as they are formed, so a zero test is a
-    plain one; ``rows`` must hold reduced scalars (over Q, Fractions or
-    ints), and an integral inverse is kept as an int (coeffs.plain).
+    plain one; ``rows`` must hold reduced scalars.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -62,7 +59,7 @@ def _eliminate_field(ring, rows):
         # Rows r.. are zero left of col, so the pivot row's nonzero entries,
         # all from col on, are the only columns an elimination changes.
         pivot = a[r]
-        inv = plain(ring.invert(pivot[col]))
+        inv = ring.invert(pivot[col])
         support = [j for j in range(col, n) if pivot[j]]
         for j in support:
             pivot[j] = ring.mul(pivot[j], inv)
@@ -86,8 +83,9 @@ def _eliminate_field(ring, rows):
 def _apply_elimination(ring, elimination, rhs):
     """Solve an eliminated system for the right-hand side given as
     (row, value) pairs of reduced scalars, every other entry zero; None
-    when inconsistent.  Over Q the arithmetic is plain; modulo a modulus an
-    entry is reduced only where it is tested or read."""
+    when inconsistent.  Over Q the arithmetic is Python's own and only the
+    solution is normalized; modulo a modulus an entry is reduced only where
+    it is tested or read."""
     m, n, pivots, ops = elimination
     modulus = ring.modulus
     b = [ring.zero()] * m
@@ -112,7 +110,7 @@ def _apply_elimination(ring, elimination, rhs):
         return None
     x = [ring.zero()] * n
     for i, col in enumerate(pivots):
-        x[col] = b[i]
+        x[col] = ring.normalize(b[i])
     return x
 
 

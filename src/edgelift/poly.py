@@ -99,14 +99,12 @@ class SparsePoly:
             exponent = tuple(exponent)
             if len(exponent) != nvars:
                 raise ValueError(f"exponent {exponent} has wrong length")
+            if exponent in clean:
+                coeff = clean[exponent] + coeff
             coeff = ring.normalize(coeff)
             if ring.is_zero(coeff):
+                clean.pop(exponent, None)
                 continue
-            if exponent in clean:
-                coeff = ring.add(clean[exponent], coeff)
-                if ring.is_zero(coeff):
-                    del clean[exponent]
-                    continue
             clean[exponent] = coeff
         self.nvars = nvars
         self.ring = ring

@@ -12,7 +12,6 @@ recombination.  Desk scale only; degrees beyond the caps are rejected.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -259,13 +258,12 @@ def _primitive(ints):
     return [c // g for c in ints], g
 
 
-def _fractions_to_primitive(cs):
+def _rationals_to_primitive(cs):
+    """The primitive integer multiple of cs with positive leading coefficient."""
     den = 1
     for c in cs:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    prim, removed = _primitive(ints)
-    return prim, Fraction(removed, den)
+    return _primitive([int(c * den) for c in cs])[0]
 
 
 def _hensel_step(f, g, h, s, t, ring):
@@ -397,19 +395,16 @@ def _zassenhaus(f, rng):
 
 
 def _factor_rationals(cs, rng):
-    prim, _ = _fractions_to_primitive(cs)
     factors = []
-    for part, mult in _squarefree(monic([Fraction(c) for c in prim], _Q), _Q):
-        part_int, _ = _fractions_to_primitive(part)
-        for irr in _zassenhaus(part_int, rng):
-            factors.append(([Fraction(c) for c in irr], mult))
+    for part, mult in _squarefree(monic(_rationals_to_primitive(cs), _Q), _Q):
+        factors.extend((irr, mult) for irr in _zassenhaus(_rationals_to_primitive(part), rng))
     factors.sort(key=lambda fm: (degree(fm[0]), tuple(fm[0])))
     # The factors are associates of the true irreducible parts, so the unit is
     # the ratio of leading coefficients.
-    lead = Fraction(1)
+    lead = 1
     for fac, mult in factors:
         lead *= fac[-1] ** mult
-    return Fraction(cs[-1]) / lead, factors
+    return _Q.div(cs[-1], lead), factors
 
 
 def factor_univariate(ring, coeffs, seed=0):

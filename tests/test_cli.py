@@ -345,6 +345,17 @@ def test_factor_output_repeats(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv, message", [
+    *((["analyze", "--field", field, "--vars", "x,y", "x + y"], "expected Q, F<p>")
+      for field in ("F1_3", "Z/5^", "F+7", "F 7", "Z/5^+2", "Z/ 5^2", "F")),
+    (["analyze", "--vars", "x,y", "3^16000000*x + y"], "decimal digits (at position 0)"),
+    # verify prints no coefficient, but its literal is refused all the same
+    (["verify", "--vars", "x,y", "3^16000000*x", "x", "3^16000000"], "decimal digits")])
+def test_a_malformed_field_or_an_oversized_literal_exits_3(argv, message, capsys):
+    assert main(argv) == 3
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
 def test_golden_output(case, capsys):
     """Byte-exact stdout and exit code of each request in golden/cases.json;

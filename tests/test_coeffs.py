@@ -24,6 +24,32 @@ def test_descriptor_strings():
         assert str(RingDescriptor.from_string(text)) == text
 
 
+@pytest.mark.parametrize("text, ring", [
+    ("Q", "Q"), (" F7 ", "F7"), ("F13", "F13"), ("Z/5", "Z/5^1"), ("Z/5^12", "Z/5^12"),
+    ("F1_3", None), ("Z/5^", None), ("F+7", None), ("F 7", None), ("Z/5^+2", None),
+    ("Z/ 5^2", None), ("F", None), ("Z/", None), ("Z/5^2^3", None), ("q", None),
+    ("F\u0663", None), ("", None), ("Z5", None)])
+def test_descriptor_grammar(text, ring):
+    # exactly Q, F<p>, Z/<p> and Z/<p>^<k> in ASCII digits, after a strip
+    if ring is not None:
+        assert str(RingDescriptor.from_string(text)) == ring
+        return
+    with pytest.raises(ValueError, match=r"expected Q, F<p>, Z/<p> or Z/<p>\^<k>"):
+        RingDescriptor.from_string(text)
+
+
+def test_rational_scalars_hold_one_form():
+    # over Q a scalar the ring hands out is an int when integral and
+    # otherwise a Fraction with denominator above 1
+    q = rationals()
+    for c in (q.zero(), q.one(), q.from_int(3), q.from_fraction(Fraction(4, 2)),
+              q.normalize(Fraction(6, 3)), q.invert(Fraction(1, 3)),
+              q.div(Fraction(3, 2), Fraction(1, 2)), q.normalize(True)):
+        assert type(c) is int
+    for c in (q.invert(2), q.from_fraction(Fraction(2, 4)), q.div(1, 2)):
+        assert type(c) is Fraction and c == Fraction(1, 2)
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         prime_field(4)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,26 @@ def test_parse_huge_exponent_of_a_constant_mod_p():
         1, f101, pow(3, 10**9, 101))
     assert parse("(3*x)^1000000000", VarTable(("x",)), f101) == SparsePoly.monomial(
         1, f101, (10**9,), pow(3, 10**9, 101))
+
+
+def test_a_literal_power_over_the_digit_limit_is_refused_over_q(monkeypatch):
+    # 2^2126 has 640 digits and 2^2127 has 641, so at a limit of 640 the
+    # second is refused on both literal paths, at the literal's position
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+    x = VarTable(("x",))
+    assert parse("2^2126*x + (1/2*x)^2126", x, Q).terms == {(1,): 2**2126,
+                                                            (2126,): Fraction(1, 2**2126)}
+    for text, position in [("x + 2^2127", 4), ("x + 3/2^2127*x", 4), ("x + (2*x)^2127", 4),
+                           ("x + (-1/2)^2127", 4), ("x + 10^99999999999", 4)]:
+        with pytest.raises(ParseError, match="at most 640 decimal digits") as err:
+            parse(text, x, Q)
+        assert err.value.position == position
+    assert parse("2^2127", x, prime_field(5)) == SparsePoly.constant(1, prime_field(5),
+                                                                     pow(2, 2127, 5))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)   # no limit
+    assert parse("2^2127", x, Q) == SparsePoly.constant(1, Q, 2**2127)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)   # a Python without one
+    assert parse("2^2127", x, Q) == SparsePoly.constant(1, Q, 2**2127)
 
 
 def test_parse_work_is_linear_in_the_term_count(monkeypatch):

@@ -6,8 +6,12 @@ import pytest
 
 from edgelift.coeffs import RingMismatch, prime_field, rationals, residue_ring
 from edgelift.expr import VarTable, parse
+from edgelift.lift import (EdgePrimePower, SplitRequest, edge_restriction, lift_factorization,
+                           reducibility_witness)
+from edgelift.newton import build
 from edgelift.poly import (SparsePoly, WeightedBound, exp_add, exp_dot, exp_min, exp_neg,
                            exp_scale, exp_sub, primitive_vector)
+from edgelift.unifactor import factor_univariate
 
 Q = rationals()
 XYZ = VarTable(("x", "y", "z"))
@@ -30,11 +34,20 @@ def random_poly(nvars, ring, rng, max_terms=6, max_exp=5):
     return SparsePoly(nvars, ring, terms)
 
 
+def assert_canonical_scalar(ring, c):
+    """c is in the ring's one form: over Q an int when integral and a Fraction
+    with denominator above 1 otherwise, a residue in [0, p^k) otherwise."""
+    if ring.kind == "Q":
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+    else:
+        assert type(c) is int and 0 <= c < ring.modulus, c
+
+
 def assert_canonical(f):
-    """Every stored coefficient is nonzero, of the ring's scalar type, and reduced."""
-    scalar = Fraction if f.ring.kind == "Q" else int
+    """Every stored coefficient is nonzero and in the ring's one form."""
     for c in f.terms.values():
-        assert c != 0 and type(c) is scalar and f.ring.normalize(c) == c
+        assert c != 0
+        assert_canonical_scalar(f.ring, c)
 
 
 def test_multiply_basic():
@@ -80,6 +93,36 @@ def test_weighted_truncate_example_polynomial():
     assert set(kept.terms) == {e for e, w in weights.items() if w <= 8}
     assert (7, 5, 2) not in kept.terms
     assert len(kept) == 3
+
+
+def test_rational_results_hold_one_scalar_form():
+    # over Q every stored coefficient and every scalar of a public result is
+    # an int when integral, and otherwise a Fraction with denominator above 1
+    half = SparsePoly(1, Q, [((1,), Fraction(1, 2)), ((0,), Fraction(3, 2))])
+    polys = [parse("(x+y+z+1)^6", XYZ, Q), parse("4/2*x + 1/3*y", XYZ, Q), half + half,
+             SparsePoly(1, Q, [((1,), Fraction(1, 2)), ((1,), Fraction(1, 2))])]
+    f = parse("x^6*y^2 - z^4 + x*y*z^4 - x^7*y^5*z^2", XYZ, Q)
+    rest = edge_restriction(f, build(f).edges[0])
+    split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
+    g, h, _ = lift_factorization(f, rest, split, 40)
+    polys += [g, h, rest.poly]
+    for poly in polys:
+        assert_canonical(poly)
+    assert half.terms == {(1,): Fraction(1, 2), (0,): Fraction(3, 2)}
+    assert type((half + half).terms[(1,)]) is int
+
+    scalars = list(rest.univariate)
+    for coeffs in ([-2, 0, 4], [Fraction(-3, 2), 0, 3], [6, 5, 1], [1, Fraction(1, 2), 0, 2]):
+        unit, factors = factor_univariate(Q, coeffs)
+        scalars += [unit] + [c for factor, _ in factors for c in factor]
+    for text, unit in (("3/2*x^2 - 3*x*y + 3/2*y^2", Fraction(3, 2)),
+                       ("2*x^2 - 4*x*y + 2*y^2", 2)):
+        pp = reducibility_witness(parse(text, XYZ, Q), 10)
+        assert isinstance(pp, EdgePrimePower) and pp.unit == unit
+        assert_canonical(pp.factor)
+        scalars.append(pp.unit)
+    for c in scalars:
+        assert_canonical_scalar(Q, c)
 
 
 def test_ring_mismatch():
