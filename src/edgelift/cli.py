@@ -9,7 +9,8 @@ main() alone writes a report to stdout: the handler's, or the verdict
 that closes stdout early does not change the exit code.  A negative
 --bound is an input error.
 Exit codes: 0 success/reducible, 1 verification failure, 2 hypothesis
-violation or inconclusive verdict, 3 input error.  JSON output renders all
+violation or inconclusive verdict, 3 input error, 4 output error (a write
+to stdout failed other than by a closed pipe).  JSON output renders all
 ring elements as exact strings; lattice data stays integral.
 """
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
+EXIT_OUTPUT_ERROR = 4
 
 
 def build_parser():
@@ -342,7 +344,7 @@ def main(argv=None):
         os.close(devnull)
     except OSError as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_OUTPUT_ERROR
     return code
 
 

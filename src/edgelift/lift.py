@@ -11,14 +11,14 @@ weight strictly increases, so the loop terminates within the bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import groupby
-from operator import itemgetter
+from itertools import islice
 
 from . import newton
-from .grading import WeightSystem, orthogonal_basis
+from .grading import WeightSystem, line_interval, orthogonal_basis
 from .linalg import _apply_elimination, _eliminate_field
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
                    exp_neg, exp_scale, exp_sub, primitive_vector)
@@ -272,18 +272,69 @@ def _uniform_weight(P, ws):
     return weights.pop()
 
 
-def _cofactor_slices(G, H, w, z, p, ws, wr, caps=(None, None)):
-    """The h'-column and g'-column slices of the cofactor system at the
-    weight wr of a point p, for G and H of weights w and z.
+def _step_solver(G, H, w, ws, caps=(None, None), embed=None):
+    """The cofactor solve of one split G, H, with G of weight w: a function
+    solve(terms, p, wh) that solves G*h' + H*g' = the (point, coefficient)
+    pairs ``terms``, of weight wh + w with p among their points, for h' of
+    weight wh.  It returns the nonzero terms of h' and g' as (point,
+    coefficient) lists, each term mapped through ``embed`` when given,
+    together with the counts of h'- and g'-columns.
 
     The weight map is additive, so for terms alpha of G and beta of H the
-    column slices are anchored at points they contain: p - alpha for h' and
-    p - beta for g'.  The caps bound their last coordinates."""
+    column slices are the lattice points of the lines through p - alpha
+    (h') and p - beta (g') in the nonnegative orthant, the caps bounding
+    their last coordinates.  The h'-slice comes from WeightSystem.slice,
+    which checks the anchor's weight; the g'-line is known by its point p -
+    beta, so its interval is read off directly.
+
+    The rows are the points the columns reach: every other point of the
+    right-hand side's slice gives an all-zero row, and with free variables
+    set to zero the solution depends only on the column order.  Relative to
+    the first column, the h'-columns are i*d and the g'-columns offset + i*d
+    for the edge direction d, so the matrix depends only on G, H and
+    (len_h, len_g, offset).  The lines are parallel, so the offset is known
+    by its coordinate k, one in which d moves: the solver keeps the system
+    of each (len_h, len_g, offset[k]), its row-index map, column points and
+    elimination, and the steps of a lift, which share one solver, eliminate
+    each system once.  The terms, like the rows, lie on one line, where a
+    point is known by its coordinate k: the rows are indexed by it."""
+    ring = G.ring
     alpha = next(iter(G.terms))
     beta = next(iter(H.terms))
+    direction = ws.direction
+    k = next(i for i, d in enumerate(direction) if d)
     h_cap, g_cap = caps
-    return (ws.slice(exp_sub(wr, w), exp_sub(p, alpha), h_cap),
-            ws.slice(exp_sub(wr, z), exp_sub(p, beta), g_cap))
+    systems = {}
+
+    def solve(terms, p, wh):
+        _, h_first, len_h, _ = ws.slice(wh, exp_sub(p, alpha), h_cap)
+        g_first, len_g = line_interval(exp_sub(p, beta), direction, g_cap)
+        if not (len_h or len_g):
+            raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
+        origin = h_first if len_h else g_first
+        start = origin[k]
+        key = (len_h, len_g, g_first[k] - start if len_g else None)
+        system = systems.get(key)
+        if system is None:
+            offset = exp_sub(g_first, origin) if len_g else None
+            system = systems[key] = _cofactor_system(G, H, direction, k, len_h, len_g, offset)
+        rows, columns, elimination = system
+        rhs = []
+        for point, c in terms:
+            i = rows.get(point[k] - start)
+            if i is None:
+                raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
+            rhs.append((i, c))
+        solution = _apply_elimination(ring, elimination, rhs)
+        if solution is None:
+            raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
+        parts = [], []   # h' from the first len_h columns, then g'
+        for j, c in enumerate(solution):
+            if c:
+                point = exp_add(origin, columns[j])
+                parts[j >= len_h].append((point, c) if embed is None else embed(point, c))
+        return parts[0], parts[1], (len_h, len_g)
+    return solve
 
 
 def solve_cofactor(G, H, r, ws, caps=(None, None)):
@@ -305,63 +356,20 @@ def solve_cofactor(G, H, r, ws, caps=(None, None)):
     if not r:
         zero = SparsePoly.zero(r.nvars, ring)
         return zero, zero
-    w = _uniform_weight(G, ws)  # G and H must be weight-homogeneous too
-    z = _uniform_weight(H, ws)
-    wr = _uniform_weight(r, ws)
-    slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr, caps)
-    parts = _solve_in_slices(G, H, r.terms.items(), wr, *slices, {})
-    return tuple(SparsePoly(r.nvars, ring, part) for part in parts)
+    w = _uniform_weight(G, ws)
+    _uniform_weight(H, ws)   # raises unless H is weight-homogeneous too
+    solve = _step_solver(G, H, w, ws, caps)
+    h_part, g_part, _ = solve(r.terms.items(), next(iter(r.terms)),
+                              exp_sub(_uniform_weight(r, ws), w))
+    return SparsePoly(r.nvars, ring, h_part), SparsePoly(r.nvars, ring, g_part)
 
 
-def _solve_in_slices(G, H, terms, wr, h_slice, g_slice, systems):
-    """The cofactor solve of solve_cofactor for the (point, coefficient)
-    pairs ``terms`` on the column slices h_slice, g_slice; returns the
-    nonzero terms of h' and g' as dicts.
-
-    The rows are the points the columns reach: every other point of the
-    right-hand side's slice gives an all-zero row, and with free variables
-    set to zero the solution depends only on the column order.  Relative to
-    the first column, the h'-columns are i*d and the g'-columns offset + i*d
-    for the edge direction d, so the matrix depends only on G, H and the key
-    (len_h, len_g, offset).  ``systems`` maps that key to the row-index map,
-    column points and elimination, and a lift that keeps it across its
-    steps eliminates each system once.  The terms, like the rows, lie on
-    the line of weight wr, where a point is known by any one coordinate in
-    which d moves: the rows are indexed by that coordinate."""
-    len_h, len_g = h_slice.count, g_slice.count
-    if not (len_h or len_g):
-        raise Unsolvable(f"no cofactor solution at weight {wr}")
-    origin = h_slice.first if len_h else g_slice.first
-    key = (len_h, len_g, exp_sub(g_slice.first, origin) if len_g else None)
-    system = systems.get(key)
-    if system is None:
-        system = systems[key] = _cofactor_system(G, H, h_slice.direction, *key)
-    k, rows, columns, elimination = system
-    start = origin[k]
-    rhs = []
-    for point, c in terms:
-        i = rows.get(point[k] - start)
-        if i is None:
-            raise Unsolvable(f"no cofactor solution at weight {wr}")
-        rhs.append((i, c))
-    solution = _apply_elimination(G.ring, elimination, rhs)
-    if solution is None:
-        raise Unsolvable(f"no cofactor solution at weight {wr}")
-    parts = {}, {}   # h' from the first len_h columns, then g'
-    for j, c in enumerate(solution):
-        if c:
-            parts[j >= len_h][exp_add(origin, columns[j])] = c
-    return parts
-
-
-def _cofactor_system(G, H, direction, len_h, len_g, offset):
-    """The coordinate k in which the direction moves first, the row-index
-    map by the k-th coordinate, the column points and the elimination of
-    the cofactor matrix with the columns (G, i*direction) for i < len_h and
-    (H, offset + i*direction) for i < len_g: column (F, point) holds F's
-    coefficients at the rows e + point."""
+def _cofactor_system(G, H, direction, k, len_h, len_g, offset):
+    """The row-index map by the k-th coordinate, the column points and the
+    elimination of the cofactor matrix with the columns (G, i*direction)
+    for i < len_h and (H, offset + i*direction) for i < len_g: column (F,
+    point) holds F's coefficients at the rows e + point."""
     ring = G.ring
-    k = next(i for i, d in enumerate(direction) if d)
     columns = ([exp_scale(direction, i) for i in range(len_h)]
                + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
     rows = {}
@@ -371,7 +379,7 @@ def _cofactor_system(G, H, direction, len_h, len_g, offset):
     matrix = [[ring.zero()] * len(columns) for _ in rows]
     for i, col, c in entries:
         matrix[i][col] = c
-    return k, rows, columns, _eliminate_field(ring, matrix)
+    return rows, columns, _eliminate_field(ring, matrix)
 
 
 # -- the lifting loop -------------------------------------------------------------
@@ -380,18 +388,24 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     """The residual-driven loop behind the plain, monic and p-adic lifts.
 
     The residual f - g*h, truncated at weight ``N`` in the edge's own
-    weights ws.xi0 (None: not truncated), is one exponent -> coefficient
-    dict, formed once; each step subtracts its two truncated products from
-    it in place, and g, h and the step's solution are plain dicts.
-    ``view(e, c)`` maps a residual term to the term the steps solve for: the
-    identity when None, where f lives over the residue field of G and H
-    (see _lift_over_residue_field), and the plane digit for ``padic``, which
+    weights ws.xi0 (None: not truncated), is formed once; each step
+    subtracts its two truncated products from it in place, and g, h and
+    the step's solution are plain dicts and lists.  ``view(e, c)`` maps a
+    residual term to the term the steps solve for: the identity when None,
+    where f lives over the residue field of G and H (see
+    _lift_over_residue_field), and the plane digit for ``padic``, which
     alone also passes ``embed(e, c)`` to carry a solved term back into f's
     ring.  The visible terms sit in buckets by weight under a heap of weight
-    keys, and only the exponents a product touched are viewed and bucketed
-    again.  Each step's g' and h' are one weight class each, no lighter than
-    any before, so a bounded lift appends them to g and h in weight order
-    and pairs them only with the prefix of the other factor under N.
+    keys.
+
+    g and h are kept as weight classes: G, H, and each step's g' and h', one
+    class each and no lighter than any before, so a bounded lift pairs a
+    step's parts only with the other factor's classes under N.  Without a
+    view the weight map is additive: the buckets hold the residual itself, a
+    product of two classes lands in one known bucket, and a step's
+    G*h' + H*g' is exactly its own bucket, which the step drops instead of
+    forming.  With a view the residual is one exponent -> coefficient dict,
+    and the exponents a product touched are viewed and bucketed again.
     ``caps`` bounds the last coordinates of every step's (h', g') columns; a
     step inconsistent within them is Unsolvable.  A system eliminated once
     serves every later step with its key; nothing is kept past the call.
@@ -403,73 +417,115 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
     wz = exp_add(w, z)
+    solve = _step_solver(G, H, w, ws, caps, embed)
     g, h = {}, {}
-    g_order, h_order = [], []   # (xi0 weight, exponent), by weight when bounded
+    # (xi0 weight, weight, exponents first added in the class), by weight
+    g_classes, h_classes = [], []
     bound = None if N is None else WeightedBound(ws.xi0, N)
     cert = LiftCertificate(w, z, N)
     previous = None
-    systems = {}
-    buckets = {}   # weight -> {residual exponent: its visible term}
+    buckets = {}   # weight -> the residual's terms {e: c}, with a view {e: its visible term}
     keys = []      # heap of the deglex keys of the weights in buckets
-    placed = {}    # residual exponent -> its bucket
-    sums = {}      # e1 -> {e2: e1 + e2}: padic's g' and h' reuse few exponents
+    placed = {}    # with a view: residual exponent -> its bucket
+    sums = {}      # e1 -> {e2: e1 + e2} with a view: padic's g' and h' reuse few exponents
+    skip = 0 if view is not None else 1   # without a view, G*h' + H*g' is not formed
 
-    def grow(terms, order, added, weight):
-        """terms += added, of xi0 weight ``weight``; an exponent stays once
-        added, zero or not, so it is ordered once."""
+    def grow(terms, classes, added, weight):
+        """terms += added, the class of weight ``weight``; an exponent stays
+        once added, zero or not, so it sits in one class."""
+        new = []
         for e, c in added:
-            if e not in terms:
-                order.append((weight, e))
-            terms[e] = ring.add(terms.get(e, 0), c)
+            if e in terms:
+                c += terms[e]
+                terms[e] = c if modulus is None else c % modulus
+            else:
+                terms[e] = c
+                new.append(e)
+        if new:
+            classes.append((sum(weight), weight, new))
 
-    def multiply(delta, left, weight, right, order):
-        """delta += left * right, for left's terms of xi0 weight ``weight``."""
+    def multiply(delta, left, weight, classes, right):
+        """delta += left * right, for left's terms of weight ``weight`` and
+        right's classes after the skipped ones, up to N; delta maps the
+        weight of a product class (None with a view) to its terms."""
+        if not left:
+            return
+        targets, total = [], sum(weight)
+        for total2, weight2, exps in islice(classes, skip, None):
+            if bound is not None and total + total2 > N:
+                break
+            key = None if view is not None else exp_add(weight, weight2)
+            out = delta.get(key)
+            if out is None:
+                out = delta[key] = {}
+            targets.append((exps, out))
         for e1, c1 in left:
-            row = sums.get(e1)
+            row = {} if view is None else sums.get(e1)
             if row is None:
                 row = sums[e1] = {}
-            for weight2, e2 in order:
-                if bound is not None and weight + weight2 > N:
-                    break
-                e = row.get(e2)
-                if e is None:
-                    e = row[e2] = exp_add(e1, e2)
-                delta[e] = delta.get(e, 0) + c1 * right[e2]
+            for exps, out in targets:
+                for e2 in exps:
+                    e = row.get(e2)
+                    if e is None:
+                        e = row[e2] = exp_add(e1, e2)
+                    out[e] = out.get(e, 0) + c1 * right[e2]
+
+    def bucket_at(weight):
+        bucket = buckets.get(weight)
+        if bucket is None:  # the key's first entry is the sum <xi0, e>
+            bucket = buckets[weight] = {}
+            heappush(keys, deglex_key(weight))
+        return bucket
 
     def place(delta):
-        """residual -= delta, then view and bucket the exponents it touched."""
-        for e, c in delta.items():
-            bucket = placed.pop(e, None)
-            if bucket is not None:
-                del bucket[e]
-            c = residual.get(e, 0) - c
-            if modulus is not None:
-                c %= modulus
-            if not c:
-                residual.pop(e, None)
+        """residual -= delta: the terms delta files under each weight, and
+        under None the terms to view and weigh one by one."""
+        for weight, terms in delta.items():
+            if weight is not None:   # no view: the bucket is the residual's class
+                bucket = bucket_at(weight)
+                for e, c in terms.items():
+                    c = bucket.get(e, 0) - c
+                    if modulus is not None:
+                        c %= modulus
+                    if c:
+                        bucket[e] = c
+                    else:
+                        bucket.pop(e, None)
                 continue
-            residual[e] = c
-            seen, c = (e, c) if view is None else view(e, c)
-            weight = tuple([exp_dot(v, seen) for v in weight_rows])
-            bucket = buckets.get(weight)
-            if bucket is None:  # the key's first entry is the sum <xi0, e>
-                bucket = buckets[weight] = {}
-                heappush(keys, deglex_key(weight))
-            bucket[e] = seen, c
-            placed[e] = bucket
+            for e, c in terms.items():
+                bucket = placed.pop(e, None)
+                if bucket is not None:
+                    del bucket[e]
+                c = residual.get(e, 0) - c
+                if modulus is not None:
+                    c %= modulus
+                if not c:
+                    residual.pop(e, None)
+                    continue
+                residual[e] = c
+                seen, c = view(e, c)
+                weight = tuple([exp_dot(v, seen) for v in weight_rows])
+                bucket = buckets.get(weight)
+                if bucket is None:
+                    bucket = bucket_at(weight)
+                bucket[e] = seen, c
+                placed[e] = bucket
 
-    def embedded(part):
-        """part's terms as the loop keeps them, in f's ring."""
+    def embedded(terms):
+        """G's or H's terms as the loop keeps them, in f's ring."""
         if embed is None:
-            return part.items()
-        return [embed(e, c) for e, c in part.items()]
+            return terms.items()
+        return [embed(e, c) for e, c in terms.items()]
 
-    w_total, z_total = sum(w), sum(z)
-    grow(g, g_order, embedded(G.terms), w_total)
-    grow(h, h_order, embedded(H.terms), z_total)
+    grow(g, g_classes, embedded(G.terms), w)
+    grow(h, h_classes, embedded(H.terms), z)
     start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
     residual = (f - start).truncate(bound).terms
-    place(dict.fromkeys(residual, 0))   # bucket the residual as it stands
+    if view is None:
+        for e, c in residual.items():
+            bucket_at(ws.weight(e))[e] = c
+    else:
+        place({None: dict.fromkeys(residual, 0)})   # bucket the residual as it stands
     while True:
         while keys and not buckets[keys[0][1]]:
             del buckets[heappop(keys)[1]]
@@ -484,23 +540,23 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         step = exp_sub(wmin, wz)
         if min(step) < 0:
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
-        initial = buckets[wmin].values()
-        h_slice, g_slice = _cofactor_slices(G, H, w, z, next(iter(initial))[0], ws, wmin, caps)
-        h_part, g_part = _solve_in_slices(G, H, initial, wmin, h_slice, g_slice, systems)
-        total = sum(wmin)
-        cert.steps.append(LiftStep(step, (h_slice.count, g_slice.count), total))
         # g' and h' weigh wmin - z and wmin - w, and
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
-        g_weight, h_weight = total - z_total, total - w_total
-        g_part, h_part = embedded(g_part), embedded(h_part)
-        grow(h, h_order, h_part, h_weight)
+        g_weight, h_weight = exp_sub(wmin, z), exp_sub(wmin, w)
+        bucket = buckets[wmin]
+        terms = bucket.items() if view is None else bucket.values()
+        h_part, g_part, dims = solve(terms, next(iter(terms))[0], h_weight)
+        cert.steps.append(LiftStep(step, dims, sum(wmin)))
+        if view is None:   # G*h' + H*g' is the bucket: drop it, form the rest
+            bucket.clear()
+        grow(h, h_classes, h_part, h_weight)
         delta = {}
-        multiply(delta, g_part, g_weight, h, h_order)
-        multiply(delta, h_part, h_weight, g, g_order)
-        grow(g, g_order, g_part, g_weight)
+        multiply(delta, g_part, g_weight, h_classes, h)
+        multiply(delta, h_part, h_weight, g_classes, g)
+        grow(g, g_classes, g_part, g_weight)
         place(delta)
     if bound is not None:
-        cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_order), (h, h_order)))
+        cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_classes), (h, h_classes)))
         return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
     g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
     cert.exit_min_weight = min((exp_dot(ws.xi0, e if view is None else view(e, c)[0])
@@ -510,30 +566,41 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
 
 def _exit_weight(f, N, xi0, factors):
     """The least xi0 weight of a term of f - g*h above N, or None; ``factors``
-    holds g's and h's terms, each with its (weight, exponent) list in weight
-    order.  The layers above N are formed in increasing weight, each from f's
-    terms of that weight and the pairs of a g- and an h-class adding up to it."""
-    g_classes, h_classes = ([(weight, [(e, terms[e]) for _, e in group])
-                             for weight, group in groupby(order, itemgetter(0))]
-                            for terms, order in factors)
-    layers = {}   # weight -> f's terms, and the pairs of classes, of that weight above N
+    holds g's and h's terms, each with its weight classes as _run_lift keeps
+    them.  The weights above N that a term of f or a pair of a g- and an
+    h-class reaches are visited in increasing order, each found by a bisection
+    per g-weight, and the layer of each is formed from f's terms of that
+    weight and the pairs adding up to it, until one is nonzero."""
+    by_factor = []   # per factor: xi0 weight -> its terms of that weight
+    for terms, classes in factors:
+        layers = {}
+        for total, _, exps in classes:
+            layers.setdefault(total, []).extend((e, terms[e]) for e in exps)
+        by_factor.append(layers)
+    g_layers, h_layers = by_factor
+    h_weights = sorted(h_layers)
+    f_layers = {}   # weight -> f's terms of that weight above N
     for e, c in f.terms.items():
         if exp_dot(xi0, e) > N:
-            layers.setdefault(exp_dot(xi0, e), ({}, []))[0][e] = c
-    for g_weight, g_terms in g_classes:
-        for h_weight, h_terms in h_classes:
-            if g_weight + h_weight > N:
-                layers.setdefault(g_weight + h_weight, ({}, []))[1].append((g_terms, h_terms))
-    for weight in sorted(layers):
-        layer, pairs = layers[weight]
-        for g_terms, h_terms in pairs:
-            for e1, c1 in g_terms:
-                for e2, c2 in h_terms:
+            f_layers.setdefault(exp_dot(xi0, e), {})[e] = c
+    weight = N
+    while True:
+        candidates = [x for x in f_layers if x > weight]
+        for g_weight in g_layers:
+            i = bisect_right(h_weights, weight - g_weight)
+            if i < len(h_weights):
+                candidates.append(g_weight + h_weights[i])
+        if not candidates:
+            return None
+        weight = min(candidates)
+        layer = f_layers.get(weight, {})
+        for g_weight, g_terms in g_layers.items():
+            for e2, c2 in h_layers.get(weight - g_weight, ()):
+                for e1, c1 in g_terms:
                     e = exp_add(e1, e2)
                     layer[e] = layer.get(e, 0) - c1 * c2
         if any(map(f.ring.normalize, layer.values())):
             return weight
-    return None
 
 
 def _lift_over_residue_field(f, ws, split, N, caps=(None, None)):

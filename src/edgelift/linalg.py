@@ -101,16 +101,17 @@ def _apply_elimination(ring, elimination, rhs):
     else:
         for r, (pivot_row, inv, eliminations) in enumerate(ops):
             b[r], b[pivot_row] = b[pivot_row], b[r]
-            v = b[r] = b[r] * inv % modulus
-            if v:
-                for i, f in eliminations:
-                    b[i] -= f * v
+            if b[r]:
+                v = b[r] = b[r] * inv % modulus
+                if v:
+                    for i, f in eliminations:
+                        b[i] -= f * v
         b = [v % modulus for v in b]
     if any(b[len(pivots):]):
         return None
     x = [ring.zero()] * n
     for i, col in enumerate(pivots):
-        x[col] = ring.normalize(b[i])
+        x[col] = b[i] if modulus is not None else ring.normalize(b[i])
     return x
 
 

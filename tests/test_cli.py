@@ -396,12 +396,12 @@ def test_a_closed_stdout_keeps_the_exit_code(name):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_failed_write_to_stdout_exits_3():
-    # any other write error is reported, and not as a verdict's exit code
+def test_a_failed_write_to_stdout_exits_4():
+    # any other write error is reported, with the output-error exit code
     case = next(c for c in GOLDEN_CASES if c["name"] == "readme_verify")
     with open("/dev/full", "w") as full:
         run = _run_module(case["argv"], full)
-    assert run.returncode == 3
+    assert run.returncode == 4
     assert json.loads(run.stderr) == {"error": "[Errno 28] No space left on device"}
 
 

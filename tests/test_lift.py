@@ -17,7 +17,7 @@ from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
                            restrict, solve_cofactor)
 from edgelift.newton import Edge, build
 from edgelift.linalg import solve_field
-from edgelift.poly import SparsePoly, WeightedBound, exp_add, exp_dot, exp_sub
+from edgelift.poly import SparsePoly, WeightedBound, exp_add, exp_dot, exp_scale, exp_sub
 from edgelift.unifactor import factor_univariate
 
 Q = rationals()
@@ -270,15 +270,23 @@ def test_solve_cofactor_matches_matrix_reference():
 @pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 6).residue_field(),
                                   residue_ring(5, 3).residue_field()],
                          ids=["Q", "F7", "Z2^6", "Z5^3"])
-def test_the_step_solve_matches_solve_field(ring):
-    """The lift loop's step solve, _solve_in_slices with one ``systems``
-    dict kept across the solves of a split as _run_lift keeps it, returns
-    solve_field's solution of the explicit cofactor matrix and raises
-    Unsolvable exactly where solve_field finds it inconsistent, over Q, F_p
-    and the residue fields of Z/p^k (F_2 and F_5), on right-hand sides of
-    several terms and with capped columns."""
-    from edgelift.lift import _cofactor_slices, _solve_in_slices
+def test_the_step_solve_matches_solve_field(ring, monkeypatch):
+    """The lift loop's step solve, one _step_solver kept across the solves
+    of a split as _run_lift keeps it, returns solve_field's solution of the
+    explicit cofactor matrix and raises Unsolvable exactly where solve_field
+    finds it inconsistent, over Q, F_p and the residue fields of Z/p^k (F_2
+    and F_5), on right-hand sides of several terms and with capped columns;
+    it eliminates fewer systems than it solves."""
+    import edgelift.lift as lift
 
+    eliminated = []
+    eliminate = lift._eliminate_field
+
+    def counting_eliminate(field, rows):
+        eliminated.append(len(rows))
+        return eliminate(field, rows)
+
+    monkeypatch.setattr(lift, "_eliminate_field", counting_eliminate)
     rng = random.Random(f"step-solve-{ring}")
     outcomes, reused = Counter(), 0
     while min(outcomes[True], outcomes[False]) < 40:
@@ -288,7 +296,8 @@ def test_the_step_solve_matches_solve_field(ring):
         w = ws.weight(next(iter(G.terms)))
         z = ws.weight(next(iter(H.terms)))
         caps = tuple(rng.choice((None, 1, 2, 3, 4, 6)) for _ in range(2))
-        systems, solves = {}, 0
+        solve, solves = lift._step_solver(G, H, w, ws, caps), 0
+        eliminated.clear()
         for _ in range(8):
             i = ws.weight(tuple(rng.randint(0, 4) for _ in range(n)))
             wr = exp_add(exp_add(w, z), i)
@@ -299,16 +308,16 @@ def test_the_step_solve_matches_solve_field(ring):
             if len(r) < 2:
                 continue
             expected, _ = reference_cofactor(G, H, r, ws, caps)
-            slices = _cofactor_slices(G, H, w, z, next(iter(r.terms)), ws, wr, caps)
+            args = r.terms.items(), next(iter(r.terms)), exp_sub(wr, w)
             if expected is None:
                 with pytest.raises(Unsolvable):
-                    _solve_in_slices(G, H, r.terms.items(), wr, *slices, systems)
+                    solve(*args)
             else:
-                parts = _solve_in_slices(G, H, r.terms.items(), wr, *slices, systems)
-                assert tuple(SparsePoly(n, ring, part) for part in parts) == expected
+                h_part, g_part, _ = solve(*args)
+                assert (SparsePoly(n, ring, h_part), SparsePoly(n, ring, g_part)) == expected
             outcomes[expected is None] += 1
             solves += 1
-        reused += solves - len(systems)
+        reused += solves - len(eliminated)
     assert reused >= 20
 
 
@@ -593,17 +602,21 @@ def test_factor_edge_univariate_unsupported_ring():
 
 
 def test_lift_steps_enumerate_each_slice_once(monkeypatch):
-    """Each lift step takes its two column slices from WeightSystem.slice
-    once, anchored at a residual term, so the loop runs no Hermite solve;
-    the rows are the points the columns reach, so the row slice is never
-    taken.  A capped p-adic column slice holds no point above its cap."""
+    """Each lift step takes its h'-column slice from WeightSystem.slice
+    once, anchored at a residual term, so the loop runs no Hermite solve,
+    and its g'-column interval from line_interval once, on the parallel
+    line through the same term; the rows are the points the columns reach,
+    so the row slice is never taken.  A capped p-adic column slice holds no
+    point above its cap."""
     import edgelift.grading as grading
+    import edgelift.lift as lift
     from edgelift.grading import WeightSystem
     from edgelift.weier import PadicPoly, padic_newton_factor
 
-    calls = {"solve_integer": 0, "slice": 0}
+    calls = {"solve_integer": 0, "slice": 0, "interval": 0}
     capped = []
     solve_integer, slice_ = grading.solve_integer, WeightSystem.slice
+    line_interval = lift.line_interval
 
     def counting_solve(*args, **kwargs):
         calls["solve_integer"] += 1
@@ -617,23 +630,32 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
         capped.append(cap is not None)
         return result
 
+    def counting_interval(base, direction, max_last=None):
+        calls["interval"] += 1
+        first, count = line_interval(base, direction, max_last)
+        last = exp_add(first, exp_scale(direction, count - 1)) if count else first
+        assert max_last is None or not count or max(first[-1], last[-1]) <= max_last
+        capped.append(max_last is not None)
+        return first, count
+
     monkeypatch.setattr(grading, "solve_integer", counting_solve)
     monkeypatch.setattr(WeightSystem, "slice", counting_slice)
+    monkeypatch.setattr(lift, "line_interval", counting_interval)
 
     f = parse(EXAMPLE1, XYZ, Q)
     rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
-    calls.update(solve_integer=0, slice=0)
+    calls.update(solve_integer=0, slice=0, interval=0)
     _, _, cert = lift_factorization(f, rest, split, 40)
     assert cert.steps
-    assert calls == {"solve_integer": 0, "slice": 2 * len(cert.steps)}
+    assert calls == {"solve_integer": 0, "slice": len(cert.steps), "interval": len(cert.steps)}
 
-    calls.update(solve_integer=0, slice=0)
+    calls.update(solve_integer=0, slice=0, interval=0)
     capped.clear()
     steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
     assert steps
-    assert calls == {"solve_integer": 0, "slice": 2 * len(steps)}
-    assert all(capped)
+    assert calls == {"solve_integer": 0, "slice": len(steps), "interval": len(steps)}
+    assert len(capped) == 2 * len(steps) and all(capped)
 
 
 def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
