@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import expr, lift, newton, weier
 from .coeffs import NotInvertible, RingDescriptor, residue_ring
@@ -119,9 +120,57 @@ def _refuse_unprintable_modulus(ring, option):
 
 def _emit(report, args):
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         _emit_text(report)
+
+
+def _json_text(value):
+    """The text of ``json.dumps(value, indent=2)`` for a report, written
+    directly: json encodes in C only without an indent, and its generator
+    encoder costs a long report about twice as much.  Dicts have str keys,
+    as a report's do.  Strings are quoted by json's own helper and ints
+    printed by int.__repr__, as json does; a value that is neither a str,
+    an int nor a container is a scalar json.dumps writes alone (or refuses
+    with its TypeError)."""
+    out = []
+    put = out.append
+
+    def walk(value, indent):
+        cls = value.__class__
+        if cls is str:
+            put(_quote(value))
+        elif cls is int:
+            put(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for key, item in value.items():
+                put(sep)
+                put(_quote(key))
+                put(": ")
+                walk(item, inner)
+                sep = comma
+            put(indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in value:
+                put(sep)
+                walk(item, inner)
+                sep = comma
+            put(indent + "]")
+        else:
+            put(json.dumps(value))
+
+    walk(value, "\n")
+    return "".join(out)
 
 
 def _emit_text(report, indent=""):

@@ -169,6 +169,10 @@ class RingDescriptor:
         return pow(a, -1, self.modulus)
 
     def div(self, a, b):
+        """a / b; over a denominator of 1, such as a parsed term's, only a
+        normalize."""
+        if b == 1:
+            return self.normalize(a)
         return self.normalize(self.mul(a, self.invert(b)))
 
     def is_unit(self, a):

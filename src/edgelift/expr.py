@@ -121,8 +121,11 @@ class _Parser:
                 pos += 1
                 i = index.get(token)
                 if i is not None:
-                    n, pos = self.power(pos)
-                    exponent[i] += 1 if n is None else n
+                    if tokens[pos] == "^":
+                        n, pos = self.power(pos)
+                        exponent[i] += n
+                    else:
+                        exponent[i] += 1
                 elif token.isdigit():
                     literal = pos - 1
                     a, b = int(token), 1
@@ -136,8 +139,8 @@ class _Parser:
                                              f"a literal with unit denominator in {ring}")
                         a, b = a // g, b // g
                         pos += 2
-                    n, pos = self.power(pos)
-                    if n is not None:   # mod p^k, so 3^1000000000 stays small
+                    if tokens[pos] == "^":   # mod p^k, so 3^1000000000 stays small
+                        n, pos = self.power(pos)
                         self.refuse_long_power(a, b, n, literal)
                         a, b = pow(a, n, modulus), pow(b, n, modulus)
                     num, den = num * a, den * b
@@ -172,10 +175,13 @@ class _Parser:
                 pos += 1
             if num:
                 c = ring.div(num, den)
-                terms = {tuple(exponent): c} if product is None else {
-                    exp_add(exponent, e): c * c2 for e, c2 in product.terms.items()}
-                for e, c in terms.items():
+                if product is None:
+                    e = tuple(exponent)
                     out[e] = out[e] + c if e in out else c
+                else:
+                    for e, c2 in product.terms.items():
+                        e = exp_add(exponent, e)
+                        out[e] = out[e] + c * c2 if e in out else c * c2
             if tokens[pos] not in ("+", "-"):
                 return SparsePoly(self.nvars, ring, out), pos
             sign = 1 if tokens[pos] == "+" else -1

@@ -369,17 +369,16 @@ def _cofactor_system(G, H, direction, k, len_h, len_g, offset):
     elimination of the cofactor matrix with the columns (G, i*direction)
     for i < len_h and (H, offset + i*direction) for i < len_g: column (F,
     point) holds F's coefficients at the rows e + point."""
-    ring = G.ring
     columns = ([exp_scale(direction, i) for i in range(len_h)]
                + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
-    rows = {}
-    entries = [(rows.setdefault(e[k] + point[k], len(rows)), col, c)
-               for col, point in enumerate(columns)
-               for e, c in (G if col < len_h else H).terms.items()]
-    matrix = [[ring.zero()] * len(columns) for _ in rows]
-    for i, col, c in entries:
-        matrix[i][col] = c
-    return rows, columns, _eliminate_field(ring, matrix)
+    rows, matrix = {}, []
+    for col, point in enumerate(columns):
+        for e, c in (G if col < len_h else H).terms.items():
+            i = rows.setdefault(e[k] + point[k], len(rows))
+            if i == len(matrix):
+                matrix.append([0] * len(columns))
+            matrix[i][col] = c
+    return rows, columns, _eliminate_field(G.ring, matrix)
 
 
 # -- the lifting loop -------------------------------------------------------------

@@ -27,44 +27,50 @@ def solve_field(ring, rows, rhs):
 
     Pivot columns are taken left to right, pivot rows top-down (first nonzero
     entry).  Free variables are set to zero.  Returns the solution list or
-    None when the system is inconsistent.
+    None when the system is inconsistent; ``rows`` is left as it is.
     """
-    return _apply_elimination(ring, _eliminate_field(ring, rows), enumerate(rhs))
+    return _apply_elimination(ring, _eliminate_field(ring, [list(r) for r in rows]),
+                              enumerate(rhs))
 
 
 def _eliminate_field(ring, rows):
-    """Row-reduce ``rows`` once, with solve_field's pivot order.
+    """Row-reduce ``rows``, a list of row lists, in place, with solve_field's
+    pivot order.
 
     Returns (nrows, ncols, pivots, ops): ``pivots`` lists the pivot column of
     each reduced row and ``ops`` holds, per pivot, the row swapped into place,
     the pivot's inverse and the (row, factor) eliminations, which
     _apply_elimination replays on a right-hand side.  Entries are reduced
-    mod ring.modulus (none over Q) as they are formed, so a zero test is a
-    plain one; ``rows`` must hold reduced scalars.
+    mod ring.modulus (none over Q) as they are formed, with the plain
+    operators, so a zero test is a plain one; ``rows`` must hold reduced
+    scalars.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     modulus = ring.modulus
-    a = [list(r) for r in rows]
     pivots = []
     ops = []
     r = 0
     for col in range(n):
         for pivot_row in range(r, m):
-            if a[pivot_row][col]:
+            if rows[pivot_row][col]:
                 break
         else:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         # Rows r.. are zero left of col, so the pivot row's nonzero entries,
         # all from col on, are the only columns an elimination changes.
-        pivot = a[r]
+        pivot = rows[r]
         inv = ring.invert(pivot[col])
         support = [j for j in range(col, n) if pivot[j]]
-        for j in support:
-            pivot[j] = ring.mul(pivot[j], inv)
+        if modulus is None:
+            for j in support:
+                pivot[j] *= inv
+        else:
+            for j in support:
+                pivot[j] = pivot[j] * inv % modulus
         eliminations = []
-        for i, row in enumerate(a):
+        for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
                 if modulus is None:

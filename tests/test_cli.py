@@ -8,7 +8,7 @@ import pytest
 
 import edgelift
 from edgelift import VarTable, lift, newton, parse, rationals
-from edgelift.cli import main
+from edgelift.cli import _json_text, main
 from edgelift.coeffs import RingDescriptor
 from edgelift.grading import orthogonal_basis
 from edgelift.poly import exp_dot
@@ -368,6 +368,64 @@ def test_golden_output(case, capsys):
     if err.exists():
         assert captured.err == err.read_text()
     assert code == case["exit"]
+
+
+def test_golden_reports_are_json_dumps_with_indent_2():
+    """Every JSON report in golden/ is the text json.dumps(report, indent=2)
+    prints, plus a newline: the goldens pin cli._json_text against json's
+    own encoder.  Text-format cases and empty outputs (errors) are skipped."""
+    checked = 0
+    for case in GOLDEN_CASES:
+        argv, text = case["argv"], (GOLDEN / f"{case['name']}.out").read_text()
+        if "--format" in argv and argv[argv.index("--format") + 1] == "text" or not text:
+            continue
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", case["name"]
+        checked += 1
+    assert checked >= 30
+
+
+def test_the_report_writer_prints_what_json_dumps_prints():
+    """cli._json_text is json.dumps(value, indent=2) on the values a report
+    holds: str-keyed dicts in their key order, lists, tuples (printed as
+    lists), empty containers, bools, None, ints of either sign and past
+    2^64, and strings with quotes, backslashes, control and non-ASCII
+    characters.  A value json cannot write raises TypeError in both."""
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                             st.characters()))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.integers(min_value=2**64, max_value=2**200),
+                        st.integers(max_value=-2**64, min_value=-2**200), text)
+    values = st.recursive(
+        scalars,
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.lists(inner, max_size=4).map(tuple),
+                                st.dictionaries(text, inner, max_size=4)),
+        max_leaves=24)
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hp.given(values)
+    def check(value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    check()
+    for bad in (object(), [1, {"a": {1, 2}}]):
+        with pytest.raises(TypeError):
+            _json_text(bad)
+
+
+def test_the_report_writer_refuses_an_int_json_refuses():
+    # past the interpreter's int-to-string limit json.dumps raises
+    # ValueError, and so does the writer, through the same int.__repr__
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-string limit in this interpreter")
+    value = {"modulus": [10**limit]}
+    with pytest.raises(ValueError):
+        json.dumps(value, indent=2)
+    with pytest.raises(ValueError):
+        _json_text(value)
 
 
 def _run_module(argv, stdout):

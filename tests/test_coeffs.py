@@ -44,9 +44,11 @@ def test_rational_scalars_hold_one_form():
     q = rationals()
     for c in (q.zero(), q.one(), q.from_int(3), q.from_fraction(Fraction(4, 2)),
               q.normalize(Fraction(6, 3)), q.invert(Fraction(1, 3)),
-              q.div(Fraction(3, 2), Fraction(1, 2)), q.normalize(True)):
+              q.div(Fraction(3, 2), Fraction(1, 2)), q.normalize(True), q.div(6, 1),
+              q.div(Fraction(6, 3), 1), q.div(Fraction(6, 3), Fraction(1))):
         assert type(c) is int
-    for c in (q.invert(2), q.from_fraction(Fraction(2, 4)), q.div(1, 2)):
+    for c in (q.invert(2), q.from_fraction(Fraction(2, 4)), q.div(1, 2),
+              q.div(Fraction(1, 2), 1), q.div(Fraction(2, 4), Fraction(1))):
         assert type(c) is Fraction and c == Fraction(1, 2)
 
 
@@ -85,6 +87,33 @@ def test_field_axioms_randomized(ring):
         assert ring.add(a, ring.neg(a)) == ring.zero()
         if ring.is_unit(a):
             assert ring.mul(a, ring.invert(a)) == ring.one()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_div_by_one_by_a_unit_and_by_a_non_unit(ring):
+    # a / 1 is a normalized, also from an unreduced numerator (the parser's
+    # term); a / b by a unit b is the a' with a' * b = a; a non-unit b
+    # (zero, or over Z/p^k a multiple of p) raises NotInvertible
+    rng = random.Random(31 + len(str(ring)))
+    for _ in range(200):
+        a = ring.normalize(random_scalar(ring, rng))
+        raw = a + 3 * ring.modulus if ring.modulus else a
+        assert ring.div(raw, 1) == ring.normalize(raw) == a
+        assert type(ring.div(raw, 1)) is type(a)
+        assert ring.div(raw, 1) == ring.normalize(ring.mul(raw, ring.invert(1)))
+        b = random_scalar(ring, rng)
+        if ring.is_unit(b):
+            assert ring.mul(ring.div(raw, b), b) == ring.normalize(a)
+        else:
+            with pytest.raises(NotInvertible):
+                ring.div(raw, b)
+        if ring.kind == "Q":
+            assert ring.div(a, Fraction(1)) == a and type(ring.div(a, Fraction(1))) is type(a)
+        with pytest.raises(NotInvertible):
+            ring.div(a, 0)
+        if ring.kind == "Z":
+            with pytest.raises(NotInvertible):
+                ring.div(a, ring.p * rng.randint(1, 50))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

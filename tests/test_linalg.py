@@ -31,6 +31,21 @@ def test_solve_field_inconsistent():
     assert solve_field(Q, rows, [Fraction(1), Fraction(3)]) is None
 
 
+def test_solve_field_leaves_its_rows_and_eliminate_field_reduces_in_place():
+    """solve_field works on a copy of the caller's rows; _eliminate_field,
+    which the lift loop hands a matrix it built for it, reduces its
+    argument to the reduced rows it returns the pivots of."""
+    for ring in (rationals(), prime_field(7)):
+        rows = [[ring.from_int(v) for v in row] for row in ([0, 2, 1], [3, 1, 0], [6, 2, 0])]
+        before = [list(row) for row in rows]
+        assert solve_field(ring, rows, [ring.from_int(v) for v in (1, 1, 2)]) is not None
+        assert rows == before
+        m, n, pivots, _ = _eliminate_field(ring, rows)
+        assert (m, n, pivots) == (3, 3, [0, 1])
+        assert rows != before and rows[2] == [0, 0, 0]
+        assert [rows[i][col] for i, col in enumerate(pivots)] == [1, 1]
+
+
 def test_solve_field_randomized():
     rng = random.Random(66)
     for ring in (rationals(), prime_field(7)):
@@ -140,7 +155,7 @@ def test_elimination_applies_to_many_right_hand_sides():
         outcomes = set()
         for _ in range(150):
             rows, _ = random_system(rng, ring)
-            elimination = _eliminate_field(ring, rows)
+            elimination = _eliminate_field(ring, [list(row) for row in rows])
             for _ in range(6):
                 if rng.random() < 0.5:
                     x_true = [ring.from_int(rng.randint(-5, 5)) for _ in rows[0]]
