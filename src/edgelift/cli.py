@@ -3,11 +3,13 @@
 Subcommands: analyze | restrict | factor | weierstrass | padic | verify.
 ``factor`` and ``weierstrass`` lift the restriction that lift._first_split
 picks among the --edge, or else every loose (``factor``) or descendant loose
-(``weierstrass``) edge.  Each cmd_* handler returns (report, exit code), and
-main() alone writes a report to stdout: the handler's, or the verdict
-``invalid_split`` for an InvalidSplit, whichever step raised it.  A reader
-that closes stdout early does not change the exit code.  A negative
---bound is an input error.
+(``weierstrass``) edge, and print one report shape: its certificate's
+exit_min_weight, the least xi0 weight of f - g*h in the residue field, lies
+above --bound (``verify --edge`` checks it).  Each cmd_* handler returns
+(report, exit code), and main() alone writes a report to stdout: the
+handler's, or the verdict ``invalid_split`` for an InvalidSplit, whichever
+step raised it.  A reader that closes stdout early does not change the exit
+code.  A negative --bound is an input error.
 Exit codes: 0 success/reducible, 1 verification failure, 2 hypothesis
 violation or inconclusive verdict, 3 input error, 4 output error (a write
 to stdout failed other than by a closed pipe).  JSON output renders all
@@ -25,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import expr, lift, newton, weier
 from .coeffs import NotInvertible, RingDescriptor, residue_ring
 from .grading import NoMixedSigns, orthogonal_basis
-from .poly import SparsePoly, WeightedBound
+from .poly import SparsePoly
 from .unifactor import DegreeTooLarge, UnsupportedRing
 
 EXIT_OK = 0
@@ -299,16 +301,11 @@ def cmd_weierstrass(args):
     if isinstance(split, lift.EdgePrimePower):
         return _power_report("no_coprime_split", split, vars_), EXIT_INCONCLUSIVE
     g, h, cert = weier.lift_monic(wi, rest, split, args.bound)
-    # the lift's contract: f - g*h vanishes up to N in xi0, in the residue field
-    bound = WeightedBound(rest.ws.xi0, args.bound)
-    residual = (f - g.mul(h, bound)).truncate(bound)
     return {
         "verdict": "factored",
         "edge": rest.edge.to_dict(),
         "g": expr.render(g, vars_),
         "h": expr.render(h, vars_),
-        "residual_within_bound": expr.render(
-            residual.map_coefficients(ring.residue_field(), ring.to_residue), vars_),
         "certificate": cert.to_dict(),
     }, EXIT_OK
 

@@ -558,7 +558,7 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_classes), (h, h_classes)))
         return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
     g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
-    cert.exit_min_weight = min((exp_dot(ws.xi0, e if view is None else view(e, c)[0])
+    cert.exit_min_weight = min((exp_dot(ws.xi0, view(e, c)[0])
                                 for e, c in (f - g * h).terms.items()), default=None)
     return g, h, cert
 
@@ -603,9 +603,11 @@ def _exit_weight(f, N, xi0, factors):
 
 
 def _lift_over_residue_field(f, ws, split, N, caps=(None, None)):
-    """_run_lift on f over the residue field (f mod p over Z/p^k), with the
-    (h', g') column caps ``caps``; g and h come back into f's ring as
-    canonical residues."""
+    """_run_lift on f over the residue field (f mod p over Z/p^k) up to N, a
+    nonnegative int (untruncated, it need not end), with the (h', g') column
+    caps ``caps``; g and h come back into f's ring as canonical residues."""
+    if type(N) is not int or N < 0:
+        raise ValueError(f"truncation bound must be a nonnegative int, not {N!r}")
     ring = f.ring
     K = ring.residue_field()
     g, h, cert = _run_lift(f.map_coefficients(K, ring.to_residue), ws, split.G, split.H, N,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,13 +9,18 @@ import pytest
 
 import edgelift
 from edgelift import VarTable, lift, newton, parse, rationals
-from edgelift.cli import _json_text, main
-from edgelift.coeffs import RingDescriptor
+from edgelift.cli import _json_text, build_parser, main
+from edgelift.coeffs import RingDescriptor, residue_ring
 from edgelift.grading import orthogonal_basis
 from edgelift.poly import exp_dot
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+# the benchmark's own dict arithmetic, which does not go through edgelift
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_polyarith", Path(__file__).parents[1] / "perfbench" / "polyarith.py")
+polyarith = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(polyarith)
 
 EXAMPLE1 = "x^6*y^2 - z^4 + x*y*z^4 - x^7*y^5*z^2"
 EXAMPLE2 = "x*y*z + x^3*y^3 + x^3*z^3 + y^3*z^3"
@@ -27,6 +33,28 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip().startswith("{") else out
+
+
+def assert_lift_contract(argv, report):
+    """The claim of a factor or weierstrass report, checked without
+    SparsePoly.mul: f - g*h, with f parsed from argv and g*h formed from the
+    printed g and h by perfbench/polyarith.py over the residue field (mod p
+    over Z/p^k), has no term of xi0 weight up to --bound, and its least
+    weight is the certificate's exit_min_weight (None when no term is left)."""
+    args = build_parser().parse_args(argv)
+    ring = RingDescriptor.from_string(args.field)
+    names = args.vars.split(",")
+    g, h = (polyarith.parse_rendered(report[key], names) for key in ("g", "h"))
+    residual = {e: -c for e, c in polyarith.poly_mul(g, h).items()}
+    for e, c in parse(args.expression, VarTable(names), ring).terms.items():
+        residual[e] = residual.get(e, 0) + c
+    residual = polyarith.reduce_terms(residual, ring.p or None)
+    xi0 = orthogonal_basis(report["edge"]["dir"]).xi0
+    weights = [exp_dot(xi0, e) for e in residual]
+    cert = report["certificate"]
+    assert cert["bound"] == args.bound
+    assert all(weight > args.bound for weight in weights)
+    assert min(weights, default=None) == cert["exit_min_weight"]
 
 
 def test_analyze_example1(capsys):
@@ -201,17 +229,18 @@ def test_padic_refuses_a_modulus_it_cannot_print_before_lifting(limit, prec, ref
 def test_factor_over_a_field_past_the_int_string_limit_still_prints(capsys):
     """factor and weierstrass print residues of an F_p lift, so their
     --field has no such limit."""
+    argvs = [[command, "--field", "Z/3^1342", "--vars", "x,y", "--bound", "10",
+              "y^2 - x^2 - x^3"] for command in ("factor", "weierstrass")]
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        reports = [run(capsys, [command, "--field", "Z/3^1342", "--vars", "x,y",
-                                "--bound", "10", "y^2 - x^2 - x^3"])
-                   for command in ("factor", "weierstrass")]
+        reports = [run(capsys, argv) for argv in argvs]
     finally:
         sys.set_int_max_str_digits(saved)
     assert [(code, report["verdict"]) for code, report in reports] == [
         (0, "reducible"), (0, "factored")]
-    assert reports[1][1]["residual_within_bound"] == "0"
+    for argv, (_, report) in zip(argvs, reports):
+        assert_lift_contract(argv, report)
 
 
 def test_verify_pass_and_fail(capsys):
@@ -240,27 +269,28 @@ def x_free_part(text, names, ring=rationals()):
 
 
 def test_weierstrass_command(capsys):
-    code, report = run(capsys, [
-        "weierstrass", "y^8 + (x1^3 - x2^2)*y^3 + x1^5*x2^4*y^2 - x1^15*x2^18",
-        "--vars", "x1,x2,y", "--bound", "30"])
+    argv = ["weierstrass", "y^8 + (x1^3 - x2^2)*y^3 + x1^5*x2^4*y^2 - x1^15*x2^18",
+            "--vars", "x1,x2,y", "--bound", "30"]
+    code, report = run(capsys, argv)
     assert code == 0
     assert report["verdict"] == "factored"
     assert x_free_part(report["g"], ("x1", "x2", "y")) == {(0, 0, 1): 1}   # g(0, y) = y
-    assert report["residual_within_bound"] == "0"
-    assert not {"unit", "division_remainder"} & set(report)
+    assert_lift_contract(argv, report)
+    # factor's report shape
+    assert list(report) == ["verdict", "edge", "g", "h", "certificate"]
 
 
 @pytest.mark.parametrize("bound", ["0", "32"])
 def test_weierstrass_below_the_edge_weight_prints_the_split(bound, capsys):
     # Example 3's edge weighs wt(G) + wt(H) = 12 + 21 = 33 in xi0 = (1, 1, 12):
     # a bound below it determines nothing past G and H
-    code, report = run(capsys, ["weierstrass", EXAMPLE3, "--vars", "x1,x2,y",
-                                "--bound", bound])
+    argv = ["weierstrass", EXAMPLE3, "--vars", "x1,x2,y", "--bound", bound]
+    code, report = run(capsys, argv)
     assert code == 0
     assert (sum(report["certificate"]["w"]), sum(report["certificate"]["z"])) == (12, 21)
     assert (report["g"], report["h"]) == ("y - x1^5*x2^7", "x1^5*x2^4*y + x1^10*x2^11")
     assert x_free_part(report["g"], ("x1", "x2", "y")) == {(0, 0, 1): 1}
-    assert report["residual_within_bound"] == "0"
+    assert_lift_contract(argv, report)
 
 
 SPLIT_ARGV = ["--vars", "x,y", "--split", "y-x,y+x", "y^2 - x^2 + x^3"]
@@ -308,9 +338,10 @@ def test_weierstrass_runs_no_normalize_or_divide(monkeypatch, capsys):
     monkeypatch.setattr(edgelift.weier, "weierstrass_normalize", tail)
     monkeypatch.setattr(edgelift.weier, "poly_divide", tail)
     for field in ("Q", "F7", "Z/5^3"):
-        code, report = run(capsys, ["weierstrass", "--field", field, *SPLIT_ARGV,
-                                    "--bound", "12"])
-        assert (code, report["verdict"], report["residual_within_bound"]) == (0, "factored", "0")
+        argv = ["weierstrass", "--field", field, *SPLIT_ARGV, "--bound", "12"]
+        code, report = run(capsys, argv)
+        assert (code, report["verdict"]) == (0, "factored")
+        assert_lift_contract(argv, report)
         assert x_free_part(report["g"], ("x", "y"), RingDescriptor.from_string(field)) == {
             (0, 1): 1}
 
@@ -382,6 +413,32 @@ def test_golden_reports_are_json_dumps_with_indent_2():
         assert text == json.dumps(json.loads(text), indent=2) + "\n", case["name"]
         checked += 1
     assert checked >= 30
+
+
+def test_golden_lifts_hold_under_independent_arithmetic():
+    """Every golden lift that exits 0 with a JSON report, checked with
+    perfbench/polyarith.py and not SparsePoly.mul: a factor or weierstrass
+    report keeps its contract (assert_lift_contract), and padic's factors
+    multiply to f mod p^k."""
+    lifts = padics = 0
+    for case in GOLDEN_CASES:
+        args = build_parser().parse_args(case["argv"])
+        if (case["exit"] or args.format != "json"
+                or args.command not in ("factor", "weierstrass", "padic")):
+            continue
+        report = json.loads((GOLDEN / f"{case['name']}.out").read_text())
+        if args.command != "padic":
+            assert_lift_contract(case["argv"], report)
+            lifts += 1
+            continue
+        ring = residue_ring(args.prime, args.prec)
+        product = {(0,): 1}
+        for text in report["factors"]:
+            product = polyarith.poly_mul(product, polyarith.parse_rendered(text, ("y",)),
+                                         ring.modulus)
+        assert product == parse(args.expression, VarTable(("y",)), ring).terms, case["name"]
+        padics += 1
+    assert lifts >= 14 and padics >= 3
 
 
 def test_the_report_writer_prints_what_json_dumps_prints():

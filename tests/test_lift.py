@@ -527,6 +527,29 @@ def test_reducibility_witness_truncates_in_the_lifted_edge_weights(monkeypatch):
     assert verdict.certificate.bound == 30
 
 
+@pytest.mark.parametrize("N", [None, 2.5, "7", -1])
+def test_every_lift_refuses_a_bound_that_is_not_a_nonnegative_int(N, monkeypatch):
+    """Untruncated, a lift over a field need not end: each public lift
+    raises ValueError on such a bound before its loop starts."""
+    import edgelift.lift as lift
+    from edgelift.weier import WeierstrassInput, descendant_loose_edges, lift_monic
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the lift loop ran")
+
+    monkeypatch.setattr(lift, "_run_lift", no_loop)
+    f = parse(EXAMPLE1, XYZ, Q)
+    rest, split = lift._first_split(f, [e for e in build(f).edges if e.loose])
+    wi = WeierstrassInput(parse(EXAMPLE3, VarTable(("x1", "x2", "y")), Q))
+    monic_rest, monic_split = lift._first_split(wi.f, descendant_loose_edges(wi),
+                                                monic_last=True)
+    for call in (lambda: lift_factorization(f, rest, split, N),
+                 lambda: reducibility_witness(f, N),
+                 lambda: lift_monic(wi, monic_rest, monic_split, N)):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            call()
+
+
 def test_reducibility_witness_example1_two_vertices():
     f = parse(EXAMPLE1, XYZ, Q)
     verdict = reducibility_witness(f, 40)
