@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
-from operator import itemgetter
 
 from .coeffs import RATIONALS
 from .poly import SparsePoly, exp_add, exp_scale
@@ -78,9 +77,11 @@ class VarTable:
         return len(self.names)
 
 
-# One match per token: group 1 an integer, a name or an operator, group 2
-# any other character that is not whitespace.  Whitespace matches nothing.
-_SCANNER = re.compile(rf"([0-9]+|{_IDENT_RE.pattern}|[-+*^/()])|(\S)")
+# One match per token: an integer, a name or an operator.
+_TOKEN = re.compile(rf"[0-9]+|{_IDENT_RE.pattern}|[-+*^/()]")
+# Tokens and whitespace from the start of the text: the match ends at the
+# first character that is neither.
+_TOKENS_AND_SPACE = re.compile(rf"(?:\s+|{_TOKEN.pattern})*")
 _MAX_NESTING = 100
 
 
@@ -91,18 +92,20 @@ class _Parser:
     The tokens are strings, "" at the end; an error rescans for its position."""
 
     def __init__(self, text, vars_, ring):
-        self.text, matches = text, _SCANNER.findall(text)
-        if any(map(itemgetter(1), matches)):
-            raise ParseError(self.at(next(k for k, (_, bad) in enumerate(matches) if bad)),
+        self.text, self.tokens = text, _TOKEN.findall(text)
+        # Tokens hold no whitespace and do not overlap, so they cover every
+        # other character exactly when their lengths add up to its count.
+        if sum(map(len, self.tokens)) != len("".join(text.split())):
+            raise ParseError(_TOKENS_AND_SPACE.match(text).end(),
                              "a number, variable or operator")
-        self.tokens = list(map(itemgetter(0), matches)) + [""]
+        self.tokens.append("")
         self.index = {name: i for i, name in enumerate(vars_.names)}
         self.ring = ring
         self.nvars = len(vars_)
 
     def at(self, k):
         """Position in the text of token k."""
-        match = next(islice(_SCANNER.finditer(self.text), k, None), None)
+        match = next(islice(_TOKEN.finditer(self.text), k, None), None)
         return len(self.text) if match is None else match.start()
 
     def expr(self, pos, depth):

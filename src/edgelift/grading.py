@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from .linalg import solve_integer
@@ -77,7 +78,7 @@ class WeightSystem:
         """The (n-1)-vector of scalar products; additive in alpha."""
         if len(alpha) != len(self.direction):
             raise ValueError("exponent has wrong length")
-        return tuple([exp_dot(v, alpha) for v in self.weight_rows])
+        return tuple([sum(map(mul, v, alpha)) for v in self.weight_rows])
 
     def slice(self, w, anchor=None, max_last=None):
         """The graded piece of weight w: the lattice points of the line
@@ -150,10 +151,12 @@ def line_interval(base, direction, max_last=None):
         # t <= floor(-b/d) = b // -d for d < 0.
         if d > 0:
             t = -(b // d)
-            lo = t if lo is None else max(lo, t)
+            if lo is None or t > lo:
+                lo = t
         elif d < 0:
             t = b // -d
-            hi = t if hi is None else min(hi, t)
+            if hi is None or t < hi:
+                hi = t
         elif b < 0:
             return base, 0
     # Mixed signs in the direction bound the interval on both sides.
@@ -163,14 +166,18 @@ def line_interval(base, direction, max_last=None):
         # d < 0, and for d = 0 keeps the whole line or none of it.
         room, d = max_last - base[-1], direction[-1]
         if d > 0:
-            hi = min(hi, room // d)
+            if room // d < hi:
+                hi = room // d
         elif d < 0:
-            lo = max(lo, -(room // -d))
+            if -(room // -d) > lo:
+                lo = -(room // -d)
         elif room < 0:
             return base, 0
     if lo > hi:
         return base, 0
-    return (exp_add(base, exp_scale(direction, lo)) if lo else base), hi - lo + 1
+    if lo:
+        base = tuple([b + lo * d for b, d in zip(base, direction)])
+    return base, hi - lo + 1
 
 
 def basis_reduction_steps(c):

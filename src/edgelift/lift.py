@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import islice
+from operator import add, mul, sub
 
 from . import newton
 from .grading import WeightSystem, line_interval, orthogonal_basis
-from .linalg import _apply_elimination, _eliminate_field
+from .linalg import _extend_elimination, _replay
 from .poly import (SparsePoly, WeightedBound, deglex_key, exp_add, exp_dot, exp_min,
                    exp_neg, exp_scale, exp_sub, primitive_vector)
 from .unifactor import degree, factor_univariate, pgcd, pmul, ppow, trim
@@ -293,46 +294,85 @@ def _step_solver(G, H, w, ws, caps=(None, None), embed=None):
     the first column, the h'-columns are i*d and the g'-columns offset + i*d
     for the edge direction d, so the matrix depends only on G, H and
     (len_h, len_g, offset).  The lines are parallel, so the offset is known
-    by its coordinate k, one in which d moves: the solver keeps the system
-    of each (len_h, len_g, offset[k]), its row-index map, column points and
-    elimination, and the steps of a lift, which share one solver, eliminate
-    each system once.  The terms, like the rows, lie on one line, where a
-    point is known by its coordinate k: the rows are indexed by it."""
+    by its coordinate k, one in which d moves; the terms and the rows lie on
+    one line too, where a point is known by its coordinate k, and the rows
+    are indexed by it.
+
+    Every system's h'-columns are a prefix of one h'-block, with the rows
+    in the order the columns reach them, and pivots run left to right
+    (_extend_elimination).  So the solver eliminates the h'-block once,
+    one column at a time as the steps need more of it, and keeps the
+    elimination after each column; a system (len_h, len_g, offset[k]) is
+    the first len_h columns' elimination extended by its g'-columns alone,
+    built at its first step and kept with its row-index map and the column
+    point of each pivot.  The steps of a lift share one solver: each
+    h'-column is eliminated once per lift, each system's g'-columns once,
+    and a step costs the replay of its system's operations on its terms."""
     ring = G.ring
+    modulus = ring.modulus
     alpha = next(iter(G.terms))
     beta = next(iter(H.terms))
     direction = ws.direction
     k = next(i for i, d in enumerate(direction) if d)
     h_cap, g_cap = caps
+    block_rows = {}     # the h'-block's rows: coordinate k -> index
+    block_points = []   # its column points j*d
+    block = [(0, 0, [], [])]   # its elimination after 0, 1, ... columns
     systems = {}
 
+    def system(len_h, len_g, offset):
+        """(row-index map, row count, operations, (column point, is a
+        g'-column) per pivot) of a system; the offset is None without
+        g'-columns."""
+        while len(block) <= len_h:   # the h'-block's next column: G at j*d
+            block_points.append(exp_scale(direction, len(block_points)))
+            shift = block_points[-1][k]
+            column = [(block_rows.setdefault(e[k] + shift, len(block_rows)), c)
+                      for e, c in G.terms.items()]
+            block.append(_extend_elimination(ring, block[-1], [column], len(block_rows)))
+        elimination = block[len_h]
+        rows = dict(islice(block_rows.items(), elimination[0]))
+        points = block_points[:len_h]
+        if len_g:
+            columns = []
+            for i in range(len_g):
+                points.append(exp_add(offset, exp_scale(direction, i)))
+                shift = points[-1][k]
+                columns.append([(rows.setdefault(e[k] + shift, len(rows)), c)
+                                for e, c in H.terms.items()])
+            elimination = _extend_elimination(ring, elimination, columns, len(rows))
+        m, _, pivots, ops = elimination
+        return rows, m, ops, [(points[j], j >= len_h) for j in pivots]
+
     def solve(terms, p, wh):
-        _, h_first, len_h, _ = ws.slice(wh, exp_sub(p, alpha), h_cap)
-        g_first, len_g = line_interval(exp_sub(p, beta), direction, g_cap)
+        _, h_first, len_h, _ = ws.slice(wh, tuple(map(sub, p, alpha)), h_cap)
+        g_first, len_g = line_interval(tuple(map(sub, p, beta)), direction, g_cap)
         if not (len_h or len_g):
             raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
         origin = h_first if len_h else g_first
         start = origin[k]
         key = (len_h, len_g, g_first[k] - start if len_g else None)
-        system = systems.get(key)
-        if system is None:
+        found = systems.get(key)
+        if found is None:
             offset = exp_sub(g_first, origin) if len_g else None
-            system = systems[key] = _cofactor_system(G, H, direction, k, len_h, len_g, offset)
-        rows, columns, elimination = system
-        rhs = []
+            found = systems[key] = system(len_h, len_g, offset)
+        rows, m, ops, placements = found
+        b = [0] * m
         for point, c in terms:
             i = rows.get(point[k] - start)
             if i is None:
                 raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
-            rhs.append((i, c))
-        solution = _apply_elimination(ring, elimination, rhs)
-        if solution is None:
+            b[i] = c
+        b = _replay(ring, ops, b)
+        if any(b[len(ops):]):
             raise Unsolvable(f"no cofactor solution at weight {exp_add(wh, w)}")
-        parts = [], []   # h' from the first len_h columns, then g'
-        for j, c in enumerate(solution):
+        parts = [], []   # h' from the h'-columns, then g'
+        for (point, is_g), c in zip(placements, b):
             if c:
-                point = exp_add(origin, columns[j])
-                parts[j >= len_h].append((point, c) if embed is None else embed(point, c))
+                if modulus is None:
+                    c = ring.normalize(c)
+                point = tuple(map(add, origin, point))
+                parts[is_g].append((point, c) if embed is None else embed(point, c))
         return parts[0], parts[1], (len_h, len_g)
     return solve
 
@@ -364,23 +404,6 @@ def solve_cofactor(G, H, r, ws, caps=(None, None)):
     return SparsePoly(r.nvars, ring, h_part), SparsePoly(r.nvars, ring, g_part)
 
 
-def _cofactor_system(G, H, direction, k, len_h, len_g, offset):
-    """The row-index map by the k-th coordinate, the column points and the
-    elimination of the cofactor matrix with the columns (G, i*direction)
-    for i < len_h and (H, offset + i*direction) for i < len_g: column (F,
-    point) holds F's coefficients at the rows e + point."""
-    columns = ([exp_scale(direction, i) for i in range(len_h)]
-               + [exp_add(offset, exp_scale(direction, i)) for i in range(len_g)])
-    rows, matrix = {}, []
-    for col, point in enumerate(columns):
-        for e, c in (G if col < len_h else H).terms.items():
-            i = rows.setdefault(e[k] + point[k], len(rows))
-            if i == len(matrix):
-                matrix.append([0] * len(columns))
-            matrix[i][col] = c
-    return rows, columns, _eliminate_field(G.ring, matrix)
-
-
 # -- the lifting loop -------------------------------------------------------------
 
 def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
@@ -394,8 +417,8 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     where f lives over the residue field of G and H (see
     _lift_over_residue_field), and the plane digit for ``padic``, which
     alone also passes ``embed(e, c)`` to carry a solved term back into f's
-    ring.  The visible terms sit in buckets by weight under a heap of weight
-    keys.
+    ring, and runs untruncated.  The visible terms sit in buckets by weight
+    under a heap of weight keys.
 
     g and h are kept as weight classes: G, H, and each step's g' and h', one
     class each and no lighter than any before, so a bounded lift pairs a
@@ -403,13 +426,20 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     view the weight map is additive: the buckets hold the residual itself, a
     product of two classes lands in one known bucket, and a step's
     G*h' + H*g' is exactly its own bucket, which the step drops instead of
-    forming.  With a view the residual is one exponent -> coefficient dict,
-    and the exponents a product touched are viewed and bucketed again.
-    ``caps`` bounds the last coordinates of every step's (h', g') columns; a
-    step inconsistent within them is Unsolvable.  A system eliminated once
-    serves every later step with its key; nothing is kept past the call.
-    A bounded lift's exit weight is read layer by layer (_exit_weight).
+    forming.  With a view a step's products are one exponent -> coefficient
+    dict, and each residual exponent they touch keeps its coefficient next
+    to its bucket and is viewed and bucketed again.
+
+    A step costs its solve (_step_solver: the slices, a replay of its
+    system's elimination, and placing the solution), its products and
+    their placement.  ``caps`` bounds the last coordinates of every step's
+    (h', g') columns; a step inconsistent within them is Unsolvable.  The
+    solver keeps its eliminations for the lift's later steps: each
+    h'-column and each system's g'-columns are eliminated once per lift,
+    and nothing is kept past the call.  A bounded lift's exit weight is read
+    layer by layer (_exit_weight).
     """
+    assert view is None or N is None, "a lift with a view runs untruncated"
     ring = f.ring
     modulus = ring.modulus   # None over Q, where nothing is reduced
     weight_rows = ws.weight_rows
@@ -425,9 +455,8 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
     previous = None
     buckets = {}   # weight -> the residual's terms {e: c}, with a view {e: its visible term}
     keys = []      # heap of the deglex keys of the weights in buckets
-    placed = {}    # with a view: residual exponent -> its bucket
+    placed = {}    # with a view: residual exponent -> (its bucket, its coefficient)
     sums = {}      # e1 -> {e2: e1 + e2} with a view: padic's g' and h' reuse few exponents
-    skip = 0 if view is not None else 1   # without a view, G*h' + H*g' is not formed
 
     def grow(terms, classes, added, weight):
         """terms += added, the class of weight ``weight``; an exponent stays
@@ -444,20 +473,24 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
             classes.append((sum(weight), weight, new))
 
     def multiply(delta, left, weight, classes, right):
-        """delta += left * right, for left's terms of weight ``weight`` and
-        right's classes after the skipped ones, up to N; delta maps the
-        weight of a product class (None with a view) to its terms."""
+        """delta += left * right, for left's terms of weight ``weight``.
+        With a view delta holds the product's terms; without one, it maps
+        the weight of a product class to its terms, for right's classes
+        after G or H, up to N."""
         if not left:
             return
-        targets, total = [], sum(weight)
-        for total2, weight2, exps in islice(classes, skip, None):
-            if bound is not None and total + total2 > N:
-                break
-            key = None if view is not None else exp_add(weight, weight2)
-            out = delta.get(key)
-            if out is None:
-                out = delta[key] = {}
-            targets.append((exps, out))
+        if view is not None:
+            targets = ((right, delta),)
+        else:
+            targets, total = [], sum(weight)
+            for total2, weight2, exps in islice(classes, 1, None):
+                if bound is not None and total + total2 > N:
+                    break
+                key = exp_add(weight, weight2)
+                out = delta.get(key)
+                if out is None:
+                    out = delta[key] = {}
+                targets.append((exps, out))
         for e1, c1 in left:
             row = {} if view is None else sums.get(e1)
             if row is None:
@@ -477,10 +510,10 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         return bucket
 
     def place(delta):
-        """residual -= delta: the terms delta files under each weight, and
-        under None the terms to view and weigh one by one."""
-        for weight, terms in delta.items():
-            if weight is not None:   # no view: the bucket is the residual's class
+        """residual -= delta: without a view, the terms delta files under
+        each weight; with one, the terms to view and weigh one by one."""
+        if view is None:   # the bucket is the residual's class
+            for weight, terms in delta.items():
                 bucket = bucket_at(weight)
                 for e, c in terms.items():
                     c = bucket.get(e, 0) - c
@@ -490,25 +523,26 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
                         bucket[e] = c
                     else:
                         bucket.pop(e, None)
+            return
+        for e, c in delta.items():
+            old = placed.pop(e, None)
+            if old is not None:
+                bucket, c0 = old
+                del bucket[e]
+                c = c0 - c
+            else:
+                c = -c
+            if modulus is not None:
+                c %= modulus
+            if not c:
                 continue
-            for e, c in terms.items():
-                bucket = placed.pop(e, None)
-                if bucket is not None:
-                    del bucket[e]
-                c = residual.get(e, 0) - c
-                if modulus is not None:
-                    c %= modulus
-                if not c:
-                    residual.pop(e, None)
-                    continue
-                residual[e] = c
-                seen, c = view(e, c)
-                weight = tuple([exp_dot(v, seen) for v in weight_rows])
-                bucket = buckets.get(weight)
-                if bucket is None:
-                    bucket = bucket_at(weight)
-                bucket[e] = seen, c
-                placed[e] = bucket
+            seen, digit = view(e, c)
+            weight = tuple([sum(map(mul, v, seen)) for v in weight_rows])
+            bucket = buckets.get(weight)
+            if bucket is None:
+                bucket = bucket_at(weight)
+            bucket[e] = seen, digit
+            placed[e] = bucket, c
 
     def embedded(terms):
         """G's or H's terms as the loop keeps them, in f's ring."""
@@ -518,34 +552,38 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
 
     grow(g, g_classes, embedded(G.terms), w)
     grow(h, h_classes, embedded(H.terms), z)
-    start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
-    residual = (f - start).truncate(bound).terms
     if view is None:
-        for e, c in residual.items():
+        start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
+        for e, c in (f - start).truncate(bound).terms.items():
             bucket_at(ws.weight(e))[e] = c
-    else:
-        place({None: dict.fromkeys(residual, 0)})   # bucket the residual as it stands
+    else:   # place g*h - f, the residual's negative, as a step places its products
+        delta = {}
+        multiply(delta, g.items(), w, g_classes, h)
+        for e, c in f.terms.items():
+            delta[e] = delta.get(e, 0) - c
+        place(delta)
     while True:
         while keys and not buckets[keys[0][1]]:
             del buckets[heappop(keys)[1]]
-        wmin = keys[0][1] if keys else None
+        top = keys[0] if keys else None   # (<xi0, e>, weight) of the least weight
         if cert.steps:
-            cert.steps[-1].residual_after = None if wmin is None else sum(wmin)
-        if wmin is None:
+            cert.steps[-1].residual_after = None if top is None else top[0]
+        if top is None:
             break
-        if previous is not None and keys[0] <= previous:
-            raise Unsolvable(f"residual weight did not increase at {wmin}")
-        previous = keys[0]
-        step = exp_sub(wmin, wz)
+        if previous is not None and top <= previous:
+            raise Unsolvable(f"residual weight did not increase at {top[1]}")
+        previous = top
+        wmin = top[1]
+        step = tuple(map(sub, wmin, wz))
         if min(step) < 0:
             raise Unsolvable(f"residual weight {wmin} below the initial weight")
         # g' and h' weigh wmin - z and wmin - w, and
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
-        g_weight, h_weight = exp_sub(wmin, z), exp_sub(wmin, w)
+        g_weight, h_weight = tuple(map(sub, wmin, z)), tuple(map(sub, wmin, w))
         bucket = buckets[wmin]
         terms = bucket.items() if view is None else bucket.values()
         h_part, g_part, dims = solve(terms, next(iter(terms))[0], h_weight)
-        cert.steps.append(LiftStep(step, dims, sum(wmin)))
+        cert.steps.append(LiftStep(step, dims, top[0]))
         if view is None:   # G*h' + H*g' is the bucket: drop it, form the rest
             bucket.clear()
         grow(h, h_classes, h_part, h_weight)

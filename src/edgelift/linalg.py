@@ -1,9 +1,10 @@
 """Exact linear-algebra helpers.
 
 Two solvers back the rest of the package: row reduction over a coefficient
-field with a fixed, deterministic pivoting order (columns left to right), and
-an integer solver for A x = b based on column Hermite reduction with a
-unimodular transform, which also reports a kernel basis.
+field with a fixed, deterministic pivoting order (columns left to right),
+which continues, rather than redoes, on a system extended by columns on the
+right, and an integer solver for A x = b based on column Hermite reduction
+with a unimodular transform, which also reports a kernel basis.
 """
 
 from __future__ import annotations
@@ -89,14 +90,29 @@ def _eliminate_field(ring, rows):
 def _apply_elimination(ring, elimination, rhs):
     """Solve an eliminated system for the right-hand side given as
     (row, value) pairs of reduced scalars, every other entry zero; None
-    when inconsistent.  Over Q the arithmetic is Python's own and only the
-    solution is normalized; modulo a modulus an entry is reduced only where
-    it is tested or read."""
+    when inconsistent."""
     m, n, pivots, ops = elimination
-    modulus = ring.modulus
-    b = [ring.zero()] * m
+    b = [0] * m
     for i, v in rhs:
         b[i] = v
+    b = _replay(ring, ops, b)
+    if any(b[len(ops):]):
+        return None
+    x = [ring.zero()] * n
+    for col, v in zip(pivots, b):
+        x[col] = ring.normalize(v)
+    return x
+
+
+def _replay(ring, ops, b):
+    """Apply the row operations ``ops`` of an elimination to b, a list of
+    reduced scalars, and return the result: its entry i < len(ops) is the
+    solution at the i-th pivot column, and the system is consistent when
+    every later entry is zero.  The arithmetic is the plain operators', so
+    over Q an entry comes back an int or a Fraction, not yet in canonical
+    form; modulo a modulus an entry is reduced only where it is tested, and
+    at the end."""
+    modulus = ring.modulus
     if modulus is None:
         for r, (pivot_row, inv, eliminations) in enumerate(ops):
             b[r], b[pivot_row] = b[pivot_row], b[r]
@@ -104,21 +120,46 @@ def _apply_elimination(ring, elimination, rhs):
                 v = b[r] = b[r] * inv
                 for i, f in eliminations:
                     b[i] -= f * v
-    else:
-        for r, (pivot_row, inv, eliminations) in enumerate(ops):
-            b[r], b[pivot_row] = b[pivot_row], b[r]
-            if b[r]:
-                v = b[r] = b[r] * inv % modulus
-                if v:
-                    for i, f in eliminations:
-                        b[i] -= f * v
-        b = [v % modulus for v in b]
-    if any(b[len(pivots):]):
-        return None
-    x = [ring.zero()] * n
-    for i, col in enumerate(pivots):
-        x[col] = b[i] if modulus is not None else ring.normalize(b[i])
-    return x
+        return b
+    for r, (pivot_row, inv, eliminations) in enumerate(ops):
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        if b[r]:
+            v = b[r] = b[r] * inv % modulus
+            if v:
+                for i, f in eliminations:
+                    b[i] -= f * v
+    return [v % modulus for v in b]
+
+
+def _extend_elimination(ring, elimination, columns, m):
+    """The elimination of a system extended on the right by ``columns``,
+    each a list of (row, value) pairs of reduced scalars, over m rows; the
+    old system's rows are the first ones, and a new row is zero in its
+    columns.  ``elimination`` is left as it is.
+
+    Pivots run left to right, so the old pivots and operations are the
+    first ones of the extended system, and a new column meets them in
+    _eliminate_field as its replay through them: each new column is
+    replayed through every operation so far and then pivoted as
+    _eliminate_field pivots, which gives the operations of a fresh
+    elimination of the extended system."""
+    _, n, pivots, ops = elimination
+    pivots, ops = list(pivots), list(ops)
+    for column in columns:
+        b = [0] * m
+        for i, v in column:
+            b[i] = v
+        b = _replay(ring, ops, b)
+        r = len(ops)
+        for pivot_row in range(r, m):
+            if b[pivot_row]:
+                b[r], b[pivot_row] = b[pivot_row], b[r]
+                pivots.append(n)
+                ops.append((pivot_row, ring.invert(b[r]),
+                            [(i, f) for i, f in enumerate(b) if f and i != r]))
+                break
+        n += 1
+    return m, n, pivots, ops
 
 
 def solve_integer(rows, rhs):

@@ -96,6 +96,15 @@ MALFORMED = [
     ("x^\u0663", "Q", ParseError, "expected a number, variable or operator (at position 2)", 2),
     ("x$y", "Q", ParseError, "expected a number, variable or operator (at position 1)", 1),
     ("x^2.5", "Q", ParseError, "expected a number, variable or operator (at position 3)", 3),
+    # a name starts with a letter, and only ASCII letters and digits count
+    ("_x", "Q", ParseError, "expected a number, variable or operator (at position 0)", 0),
+    ("1_0", "Q", ParseError, "expected a number, variable or operator (at position 1)", 1),
+    ("x²", "Q", ParseError, "expected a number, variable or operator (at position 1)", 1),
+    ("é", "Q", ParseError, "expected a number, variable or operator (at position 0)", 0),
+    # tabs and newlines are whitespace, and count in the positions
+    ("x +\t\n", "Q", ParseError, "expected a number, variable or '(' (at position 5)", 5),
+    ("x\ty", "Q", ParseError, "expected '+', '-', '*' or end of input (at position 2)", 2),
+    ("x\n*\t(y", "Q", ParseError, "expected ')' (at position 6)", 6),
     ("", "Q", ParseError, "expected a nonempty expression (at position 0)", 0),
     ("   ", "Q", ParseError, "expected a nonempty expression (at position 0)", 0),
     ("+x", "Q", ParseError, "expected a number, variable or '(' (at position 0)", 0),

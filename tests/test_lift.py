@@ -276,17 +276,17 @@ def test_the_step_solve_matches_solve_field(ring, monkeypatch):
     explicit cofactor matrix and raises Unsolvable exactly where solve_field
     finds it inconsistent, over Q, F_p and the residue fields of Z/p^k (F_2
     and F_5), on right-hand sides of several terms and with capped columns;
-    it eliminates fewer systems than it solves."""
+    it eliminates fewer columns than the systems it solves hold."""
     import edgelift.lift as lift
 
     eliminated = []
-    eliminate = lift._eliminate_field
+    extend = lift._extend_elimination
 
-    def counting_eliminate(field, rows):
-        eliminated.append(len(rows))
-        return eliminate(field, rows)
+    def counting_extend(field, elimination, columns, m):
+        eliminated.append(len(columns))
+        return extend(field, elimination, columns, m)
 
-    monkeypatch.setattr(lift, "_eliminate_field", counting_eliminate)
+    monkeypatch.setattr(lift, "_extend_elimination", counting_extend)
     rng = random.Random(f"step-solve-{ring}")
     outcomes, reused = Counter(), 0
     while min(outcomes[True], outcomes[False]) < 40:
@@ -296,7 +296,7 @@ def test_the_step_solve_matches_solve_field(ring, monkeypatch):
         w = ws.weight(next(iter(G.terms)))
         z = ws.weight(next(iter(H.terms)))
         caps = tuple(rng.choice((None, 1, 2, 3, 4, 6)) for _ in range(2))
-        solve, solves = lift._step_solver(G, H, w, ws, caps), 0
+        solve, solved = lift._step_solver(G, H, w, ws, caps), 0
         eliminated.clear()
         for _ in range(8):
             i = ws.weight(tuple(rng.randint(0, 4) for _ in range(n)))
@@ -313,11 +313,11 @@ def test_the_step_solve_matches_solve_field(ring, monkeypatch):
                 with pytest.raises(Unsolvable):
                     solve(*args)
             else:
-                h_part, g_part, _ = solve(*args)
+                h_part, g_part, dims = solve(*args)
                 assert (SparsePoly(n, ring, h_part), SparsePoly(n, ring, g_part)) == expected
+                solved += sum(dims)
             outcomes[expected is None] += 1
-            solves += 1
-        reused += solves - len(eliminated)
+        reused += solved - sum(eliminated)
     assert reused >= 20
 
 
@@ -682,34 +682,75 @@ def test_lift_steps_enumerate_each_slice_once(monkeypatch):
 
 
 def test_lift_eliminates_each_system_once_per_lift(monkeypatch):
-    """Steps whose columns repeat an eliminated system up to translation
-    reuse its elimination; nothing is kept from one lift to the next."""
+    """A lift eliminates each h'-column once, as the first system that needs
+    it grows the h'-block by one column at a time, and each system's
+    g'-columns once, extending the block's elimination: steps whose columns
+    repeat a system up to translation reuse it, and nothing is kept from
+    one lift to the next.  Each call below is (columns before, columns
+    added)."""
     import edgelift.lift as lift
     from edgelift.weier import PadicPoly, padic_newton_factor
 
-    eliminations = []
-    eliminate = lift._eliminate_field
+    calls = []
+    extend = lift._extend_elimination
 
-    def counting_eliminate(ring, rows):
-        eliminations.append(len(rows))
-        return eliminate(ring, rows)
+    def counting_extend(ring, elimination, columns, m):
+        calls.append((elimination[1], len(columns)))
+        return extend(ring, elimination, columns, m)
 
-    monkeypatch.setattr(lift, "_eliminate_field", counting_eliminate)
+    monkeypatch.setattr(lift, "_extend_elimination", counting_extend)
 
     f = parse(EXAMPLE1, XYZ, Q)
     rest = edge_restriction(f, build(f).edges[0])
     split = SplitRequest(parse("x^3*y - z^2", XYZ, Q), parse("x^3*y + z^2", XYZ, Q))
     bound = WeightedBound(rest.ws.xi0, 40)
     for _ in range(2):
-        eliminations.clear()
+        calls.clear()
         g, h, cert = lift_factorization(f, rest, split, bound.bound)
         assert not (f - g * h).truncate(bound)
-        assert (len(eliminations), len(cert.steps)) == (2, 4)
+        assert [tuple(s.slice_dims) for s in cert.steps] == [(2, 2), (2, 2), (3, 3), (3, 3)]
+        # h'-columns 1 and 2, the (2, 2) system, h'-column 3, the (3, 3) system
+        assert calls == [(0, 1), (1, 1), (2, 2), (2, 1), (3, 3)]
 
     for _ in range(2):
-        eliminations.clear()
+        calls.clear()
         steps = padic_newton_factor(PadicPoly((540, 270, 0, 1), 2, 32)).certificate.steps
-        assert (len(eliminations), len(steps)) == (2, 44)
+        assert len(steps) == 44
+        assert {tuple(s.slice_dims) for s in steps} == {(1, 1), (1, 2)}
+        # the one h'-column, then the (1, 1) and (1, 2) systems
+        assert calls == [(0, 1), (1, 1), (1, 2)]
+
+
+def test_the_monic_lift_eliminates_its_h_block_once(monkeypatch):
+    """Under the monic cap every step of the divisibility fixture's
+    weierstrass lift (with the benchmark's dominated term x3^4) meets a new
+    system, of one g'-column, while its h'-block grows by at most a column
+    a step.  The lift eliminates each h'-column once and each system's
+    g'-column once: re-eliminating the block for every system would take
+    the sum of the steps' len_h columns instead of their maximum."""
+    import edgelift.lift as lift
+    from edgelift.weier import WeierstrassInput, descendant_loose_edges, lift_monic
+
+    added = []
+    extend = lift._extend_elimination
+
+    def counting_extend(ring, elimination, columns, m):
+        added.append(len(columns))
+        return extend(ring, elimination, columns, m)
+
+    monkeypatch.setattr(lift, "_extend_elimination", counting_extend)
+    vars_ = VarTable(("x1", "x2", "x3"))
+    for ring in (Q, prime_field(109)):
+        f = parse(DIVISIBILITY_F + " + x3^4", vars_, ring)
+        wi = WeierstrassInput(f)
+        rest, split = lift._first_split(f, descendant_loose_edges(wi), monic_last=True)
+        added.clear()
+        g, h, cert = lift_monic(wi, rest, split, 44)
+        dims = [tuple(s.slice_dims) for s in cert.steps]
+        assert len(dims) == 19 and {len_g for _, len_g in dims} == {1}
+        assert cert.exit_min_weight > 44
+        len_h = max(n for n, _ in dims)
+        assert sum(added) == len_h + len(dims) < sum(n for n, _ in dims)
 
 
 def test_a_lift_step_builds_no_sparse_poly(monkeypatch):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 from edgelift.coeffs import prime_field, rationals
-from edgelift.linalg import (_apply_elimination, _eliminate_field, solve_field,
-                             solve_integer, xgcd)
+import pytest
+
+from edgelift.linalg import (_apply_elimination, _eliminate_field, _extend_elimination,
+                             solve_field, solve_integer, xgcd)
 
 
 def test_xgcd():
@@ -168,6 +170,68 @@ def test_elimination_applies_to_many_right_hand_sides():
                 assert sol == solve_field(ring, rows, rhs) == dense_solve_field(ring, rows, rhs)
                 outcomes.add(sol is None)
         assert outcomes == {True, False}
+
+
+def test_an_extended_elimination_solves_as_a_fresh_one():
+    """The cofactor systems of one split G, H, kept as the lift keeps them:
+    the h'-block of G-columns, G shifted by j steps, is eliminated one
+    column at a time as a growing sequence of keys (len_h, len_g, offset)
+    asks for it, and each key's elimination is the block's first len_h
+    columns extended by its g'-columns, H shifted by offset + i steps.  Over
+    F_p and Q, each gives the pivots and operations of a fresh
+    _eliminate_field of the key's matrix, and every right-hand side,
+    consistent or not, the same solution or None."""
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+    rings = st.sampled_from([rationals(), prime_field(2), prime_field(7)])
+    line = st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+    keys = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(-3, 6)),
+                    min_size=1, max_size=6).filter(lambda ks: any(a or b for a, b, _ in ks))
+    outcomes = set()
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hp.given(rings, line, line, st.integers(1, 3), keys, st.data())
+    def check(ring, g, h, step, keys, data):
+        g, h = [ring.from_int(c) for c in g], [ring.from_int(c) for c in h]
+        hp.assume(g[0] and g[-1] and h[0] and h[-1])   # nonzero lines, as G and H are
+        block_rows, block = {}, [(0, 0, [], [])]
+        for len_h, len_g, offset in keys:
+            if not (len_h or len_g):
+                continue
+            while len(block) <= len_h:
+                j = len(block) - 1
+                column = [(block_rows.setdefault(t + j * step, len(block_rows)), c)
+                          for t, c in enumerate(g) if c]
+                block.append(_extend_elimination(ring, block[-1], [column], len(block_rows)))
+            rows = dict(list(block_rows.items())[:block[len_h][0]])
+            columns = [[(rows.setdefault(t + offset + i * step, len(rows)), c)
+                        for t, c in enumerate(h) if c] for i in range(len_g)]
+            extended = _extend_elimination(ring, block[len_h], columns, len(rows))
+            matrix = [[ring.zero()] * (len_h + len_g) for _ in rows]
+            for j in range(len_h):
+                for t, c in enumerate(g):
+                    if c:
+                        matrix[rows[t + j * step]][j] = c
+            for i in range(len_g):
+                for t, c in enumerate(h):
+                    if c:
+                        matrix[rows[t + offset + i * step]][len_h + i] = c
+            fresh = _eliminate_field(ring, [list(r) for r in matrix])
+            assert extended == fresh
+            for _ in range(3):
+                if data.draw(st.booleans()):
+                    x = [ring.from_int(data.draw(st.integers(-3, 3))) for _ in matrix[0]]
+                    rhs = [sum_row(ring, r, x) for r in matrix]
+                else:
+                    rhs = [ring.from_int(data.draw(st.integers(-2, 2))) for _ in matrix]
+                sparse = [(i, v) for i, v in enumerate(rhs) if v]
+                solution = _apply_elimination(ring, extended, sparse)
+                assert solution == _apply_elimination(ring, fresh, sparse)
+                assert solution == solve_field(ring, matrix, rhs)
+                outcomes.add(solution is None)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def sum_row(ring, row, x):
