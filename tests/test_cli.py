@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -169,6 +170,33 @@ def test_padic_p5(capsys):
     code, report = run(capsys, ["padic", "-p", "5", "--prec", "8", F4])
     assert code == 2
     assert report["verdict"] == "no_coprime_split"
+
+
+# stdout of lifts deeper than the goldens (they stop at --prec 96): the README
+# input, and the degree-8 chains of the benchmark's lift workload at seed 1
+DEEP_PADIC = [
+    ("2", "256", F4, 4123, "a7a12f6a1e635403c25a18e469dfd28fc7044ea0ce580c69bcc93ba49ce82dad"),
+    ("2", "1024", F4, 16619,
+     "fb9e2f74e08b4dcc3cd26de804c40ee116b6aed35b33a3d15afce11ea5706429"),
+    ("3", "192", "2539107 + 282123*y + 3645*y^2 + 14580*y^3 + 5589*y^4 + 1242*y^5"
+     " + 72*y^6 + 21*y^7 + y^8", 2143,
+     "c7a0e8b2c39a9538aa9c1755e07888fd76283a1763d6843143323a3d3d66f4bc"),
+    ("5", "192", "74218750 + 2187500*y + 62500*y^2 + 81250*y^3 + 296875*y^4 + 90625*y^5"
+     " + 200*y^6 + 95*y^7 + y^8", 2154,
+     "85eb482924ec641dbedaf9fc73738cd07b703e30a04f5b0effb074f4e7a121fc"),
+    ("7", "192", "7626831723 + 34588806*y + 3411821*y^2 + 201684*y^3 + 14406*y^4"
+     " + 24010*y^5 + 10290*y^6 + 7889*y^7 + y^8", 2154,
+     "c8427faabdfb096cbc99bd1f0bebd8675f9163ac68569eb0886699d017b48fd4"),
+]
+
+
+@pytest.mark.parametrize("p, prec, text, lines, sha256", DEEP_PADIC,
+                         ids=[f"p{p}-prec{prec}" for p, prec, *_ in DEEP_PADIC])
+def test_deep_padic_reports_are_pinned(p, prec, text, lines, sha256, capsys):
+    assert main(["padic", "-p", p, "--prec", prec, text]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("text", ["2^5*y + 32", "0"])
