@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import islice
-from operator import add, mul, sub
+from operator import add, sub
 
 from . import newton
 from .grading import WeightSystem, line_interval, orthogonal_basis
@@ -273,13 +273,14 @@ def _uniform_weight(P, ws):
     return weights.pop()
 
 
-def _step_solver(G, H, w, ws, caps=(None, None), embed=None):
+def _step_solver(G, H, w, ws, caps=(None, None)):
     """The cofactor solve of one split G, H, with G of weight w: a function
     solve(terms, p, wh) that solves G*h' + H*g' = the (point, coefficient)
     pairs ``terms``, of weight wh + w with p among their points, for h' of
     weight wh.  It returns the nonzero terms of h' and g' as (point,
-    coefficient) lists, each term mapped through ``embed`` when given,
-    together with the counts of h'- and g'-columns.
+    coefficient) lists, together with the counts of h'- and g'-columns.
+    The bounded loop (_run_lift) and the p-adic loop (weier._padic_lift)
+    both solve their steps with it.
 
     The weight map is additive, so for terms alpha of G and beta of H the
     column slices are the lattice points of the lines through p - alpha
@@ -371,8 +372,7 @@ def _step_solver(G, H, w, ws, caps=(None, None), embed=None):
             if c:
                 if modulus is None:
                     c = ring.normalize(c)
-                point = tuple(map(add, origin, point))
-                parts[is_g].append((point, c) if embed is None else embed(point, c))
+                parts[is_g].append((tuple(map(add, origin, point)), c))
         return parts[0], parts[1], (len_h, len_g)
     return solve
 
@@ -406,57 +406,47 @@ def solve_cofactor(G, H, r, ws, caps=(None, None)):
 
 # -- the lifting loop -------------------------------------------------------------
 
-def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
-    """The residual-driven loop behind the plain, monic and p-adic lifts.
+def _run_lift(f, ws, G, H, N, caps=(None, None)):
+    """The residual-driven loop behind the plain and monic lifts, over the
+    residue field of G and H (see _lift_over_residue_field).
 
-    The residual f - g*h, truncated at weight ``N`` in the edge's own
-    weights ws.xi0 (None: not truncated), is formed once; each step
-    subtracts its two truncated products from it in place, and g, h and
-    the step's solution are plain dicts and lists.  ``view(e, c)`` maps a
-    residual term to the term the steps solve for: the identity when None,
-    where f lives over the residue field of G and H (see
-    _lift_over_residue_field), and the plane digit for ``padic``, which
-    alone also passes ``embed(e, c)`` to carry a solved term back into f's
-    ring, and runs untruncated.  The visible terms sit in buckets by weight
-    under a heap of weight keys.
+    The residual f - g*h, truncated at the int weight ``N`` in the edge's
+    own weights ws.xi0, is formed once; each step subtracts its truncated
+    products from it in place, and g, h and the step's solution are plain
+    dicts and lists.  The residual's terms sit in buckets by weight under a
+    heap of weight keys.
 
     g and h are kept as weight classes: G, H, and each step's g' and h', one
-    class each and no lighter than any before, so a bounded lift pairs a
-    step's parts only with the other factor's classes under N.  Without a
-    view the weight map is additive: the buckets hold the residual itself, a
-    product of two classes lands in one known bucket, and a step's
-    G*h' + H*g' is exactly its own bucket, which the step drops instead of
-    forming.  With a view a step's products are one exponent -> coefficient
-    dict, and each residual exponent they touch keeps its coefficient next
-    to its bucket and is viewed and bucketed again.
+    class each and no lighter than any before, so a step pairs its parts
+    only with the other factor's classes under N.  The weight map is
+    additive: a product of two classes lands in one known bucket, and a
+    step's G*h' + H*g' is exactly its own bucket, which the step drops
+    instead of forming.
 
     A step costs its solve (_step_solver: the slices, a replay of its
-    system's elimination, and placing the solution), its products and
-    their placement.  ``caps`` bounds the last coordinates of every step's
-    (h', g') columns; a step inconsistent within them is Unsolvable.  The
-    solver keeps its eliminations for the lift's later steps: each
-    h'-column and each system's g'-columns are eliminated once per lift,
-    and nothing is kept past the call.  A bounded lift's exit weight is read
-    layer by layer (_exit_weight).
+    system's elimination, and placing the solution) and its products.
+    ``caps`` bounds the last coordinates of every step's (h', g') columns;
+    a step inconsistent within them is Unsolvable.  The solver keeps its
+    eliminations for the lift's later steps: each h'-column and each
+    system's g'-columns are eliminated once per lift, and nothing is kept
+    past the call.  The exit weight is read layer by layer (_exit_weight).
+    The p-adic lift has its own dense loop (weier._padic_lift) on the same
+    step solver.
     """
-    assert view is None or N is None, "a lift with a view runs untruncated"
     ring = f.ring
     modulus = ring.modulus   # None over Q, where nothing is reduced
-    weight_rows = ws.weight_rows
     w = _uniform_weight(G, ws)
     z = _uniform_weight(H, ws)
     wz = exp_add(w, z)
-    solve = _step_solver(G, H, w, ws, caps, embed)
+    solve = _step_solver(G, H, w, ws, caps)
     g, h = {}, {}
     # (xi0 weight, weight, exponents first added in the class), by weight
     g_classes, h_classes = [], []
-    bound = None if N is None else WeightedBound(ws.xi0, N)
+    bound = WeightedBound(ws.xi0, N)
     cert = LiftCertificate(w, z, N)
     previous = None
-    buckets = {}   # weight -> the residual's terms {e: c}, with a view {e: its visible term}
+    buckets = {}   # weight -> the residual's terms {e: c} of that weight
     keys = []      # heap of the deglex keys of the weights in buckets
-    placed = {}    # with a view: residual exponent -> (its bucket, its coefficient)
-    sums = {}      # e1 -> {e2: e1 + e2} with a view: padic's g' and h' reuse few exponents
 
     def grow(terms, classes, added, weight):
         """terms += added, the class of weight ``weight``; an exponent stays
@@ -473,33 +463,24 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
             classes.append((sum(weight), weight, new))
 
     def multiply(delta, left, weight, classes, right):
-        """delta += left * right, for left's terms of weight ``weight``.
-        With a view delta holds the product's terms; without one, it maps
-        the weight of a product class to its terms, for right's classes
-        after G or H, up to N."""
+        """delta += left * right, for left's terms of weight ``weight`` and
+        right's classes after G or H, up to N; delta maps the weight of a
+        product class to its terms."""
         if not left:
             return
-        if view is not None:
-            targets = ((right, delta),)
-        else:
-            targets, total = [], sum(weight)
-            for total2, weight2, exps in islice(classes, 1, None):
-                if bound is not None and total + total2 > N:
-                    break
-                key = exp_add(weight, weight2)
-                out = delta.get(key)
-                if out is None:
-                    out = delta[key] = {}
-                targets.append((exps, out))
+        targets, total = [], sum(weight)
+        for total2, weight2, exps in islice(classes, 1, None):
+            if total + total2 > N:
+                break
+            key = exp_add(weight, weight2)
+            out = delta.get(key)
+            if out is None:
+                out = delta[key] = {}
+            targets.append((exps, out))
         for e1, c1 in left:
-            row = {} if view is None else sums.get(e1)
-            if row is None:
-                row = sums[e1] = {}
             for exps, out in targets:
                 for e2 in exps:
-                    e = row.get(e2)
-                    if e is None:
-                        e = row[e2] = exp_add(e1, e2)
+                    e = exp_add(e1, e2)
                     out[e] = out.get(e, 0) + c1 * right[e2]
 
     def bucket_at(weight):
@@ -510,58 +491,23 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         return bucket
 
     def place(delta):
-        """residual -= delta: without a view, the terms delta files under
-        each weight; with one, the terms to view and weigh one by one."""
-        if view is None:   # the bucket is the residual's class
-            for weight, terms in delta.items():
-                bucket = bucket_at(weight)
-                for e, c in terms.items():
-                    c = bucket.get(e, 0) - c
-                    if modulus is not None:
-                        c %= modulus
-                    if c:
-                        bucket[e] = c
-                    else:
-                        bucket.pop(e, None)
-            return
-        for e, c in delta.items():
-            old = placed.pop(e, None)
-            if old is not None:
-                bucket, c0 = old
-                del bucket[e]
-                c = c0 - c
-            else:
-                c = -c
-            if modulus is not None:
-                c %= modulus
-            if not c:
-                continue
-            seen, digit = view(e, c)
-            weight = tuple([sum(map(mul, v, seen)) for v in weight_rows])
-            bucket = buckets.get(weight)
-            if bucket is None:
-                bucket = bucket_at(weight)
-            bucket[e] = seen, digit
-            placed[e] = bucket, c
+        """residual -= delta, the terms delta files under each weight."""
+        for weight, terms in delta.items():
+            bucket = bucket_at(weight)
+            for e, c in terms.items():
+                c = bucket.get(e, 0) - c
+                if modulus is not None:
+                    c %= modulus
+                if c:
+                    bucket[e] = c
+                else:
+                    bucket.pop(e, None)
 
-    def embedded(terms):
-        """G's or H's terms as the loop keeps them, in f's ring."""
-        if embed is None:
-            return terms.items()
-        return [embed(e, c) for e, c in terms.items()]
-
-    grow(g, g_classes, embedded(G.terms), w)
-    grow(h, h_classes, embedded(H.terms), z)
-    if view is None:
-        start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
-        for e, c in (f - start).truncate(bound).terms.items():
-            bucket_at(ws.weight(e))[e] = c
-    else:   # place g*h - f, the residual's negative, as a step places its products
-        delta = {}
-        multiply(delta, g.items(), w, g_classes, h)
-        for e, c in f.terms.items():
-            delta[e] = delta.get(e, 0) - c
-        place(delta)
+    grow(g, g_classes, G.terms.items(), w)
+    grow(h, h_classes, H.terms.items(), z)
+    start = SparsePoly(f.nvars, ring, g).mul(SparsePoly(f.nvars, ring, h), bound)
+    for e, c in (f - start).truncate(bound).terms.items():
+        bucket_at(ws.weight(e))[e] = c
     while True:
         while keys and not buckets[keys[0][1]]:
             del buckets[heappop(keys)[1]]
@@ -581,24 +527,17 @@ def _run_lift(f, ws, G, H, N, view=None, embed=None, caps=(None, None)):
         # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
         g_weight, h_weight = tuple(map(sub, wmin, z)), tuple(map(sub, wmin, w))
         bucket = buckets[wmin]
-        terms = bucket.items() if view is None else bucket.values()
-        h_part, g_part, dims = solve(terms, next(iter(terms))[0], h_weight)
+        h_part, g_part, dims = solve(bucket.items(), next(iter(bucket)), h_weight)
         cert.steps.append(LiftStep(step, dims, top[0]))
-        if view is None:   # G*h' + H*g' is the bucket: drop it, form the rest
-            bucket.clear()
+        bucket.clear()   # G*h' + H*g' is the bucket: drop it, form the rest
         grow(h, h_classes, h_part, h_weight)
         delta = {}
         multiply(delta, g_part, g_weight, h_classes, h)
         multiply(delta, h_part, h_weight, g_classes, g)
         grow(g, g_classes, g_part, g_weight)
         place(delta)
-    if bound is not None:
-        cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_classes), (h, h_classes)))
-        return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
-    g, h = SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h)
-    cert.exit_min_weight = min((exp_dot(ws.xi0, view(e, c)[0])
-                                for e, c in (f - g * h).terms.items()), default=None)
-    return g, h, cert
+    cert.exit_min_weight = _exit_weight(f, N, ws.xi0, ((g, g_classes), (h, h_classes)))
+    return SparsePoly(f.nvars, ring, g), SparsePoly(f.nvars, ring, h), cert
 
 
 def _exit_weight(f, N, xi0, factors):

@@ -3,10 +3,13 @@ distinguished last variable y, monic lifting, Weierstrass normalization,
 polynomial division, and the p-adic Newton-polygon specialization.
 
 For the p-adic case, a polynomial over Z/p^k is modeled by the plane support
-points (v_p(a_j), j).  All cofactor solves happen over F_p in that
-two-variable picture; the accumulated factors carry Z/p^k coefficients via
-canonical-residue representatives, and a coefficient lambda at the point
-(v, j) lifts to int(lambda) * p^v * y^j.
+points (v_p(a_j), j).  The monic lift runs the bounded graded loop of
+``lift``; the p-adic lift has a loop of its own on dense coefficient lists
+in y, and both loops solve their steps with the one step solver of
+``lift``.  All p-adic cofactor solves happen over F_p in the plane; the
+factors carry Z/p^k coefficients via canonical-residue representatives,
+and a coefficient lambda at the point (v, j) lifts to
+int(lambda) * p^v * y^j.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from math import gcd
 
 from . import newton
 from .coeffs import is_prime, prime_field, residue_ring
-from .lift import (EdgePrimePower, LiftError, _first_split, _lift_over_residue_field,
-                   _require_edge, _run_lift, _top_in_last, _validate_split)
+from .lift import (EdgePrimePower, LiftCertificate, LiftError, LiftStep, Unsolvable,
+                   _first_split, _lift_over_residue_field, _require_edge, _step_solver,
+                   _top_in_last, _uniform_weight, _validate_split)
 from .lift import NotDescendant  # noqa: F401  (raised by the monic lift; re-exported)
 from .poly import SparsePoly, WeightedBound
+from .unifactor import trim
 # Unused here, but perfbench/tracing.py patches these names in this module;
 # without them its --trace 1 does not install.
 from .grading import orthogonal_basis  # noqa: F401
@@ -243,12 +248,12 @@ def _plane(P):
     """The plane model of P in Z/p^k[y]: over F_p, the leading p-adic digit
     of each term c*y^j sits at the point (v_p(c), j)."""
     view = _plane_term(P.ring)
-    return SparsePoly(2, prime_field(P.ring.p), (view(e, c) for e, c in P.terms.items()))
+    return SparsePoly(2, prime_field(P.ring.p), (view(j, c) for (j,), c in P.terms.items()))
 
 
 def _plane_term(ring):
-    """The plane model term by term: c*y^j in Z/p^k[y] goes to the point
-    (v_p(c), j) with the digit c / p^v_p(c) mod p."""
+    """The plane model term by term: term(j, c) maps c*y^j in Z/p^k[y] to
+    the point (v_p(c), j) with the digit c / p^v_p(c) mod p."""
     p, modulus = ring.p, ring.modulus
     # A nonzero residue c has gcd(c, p^k) = p^v_p(c) with v_p(c) < k, and
     # p^v has more bits than p^(v-1), so its bit length names v.
@@ -258,23 +263,9 @@ def _plane_term(ring):
         exponents[power.bit_length()] = v
         power *= p
 
-    def term(e, c):
+    def term(j, c):
         power = gcd(c, modulus)
-        return (exponents[power.bit_length()], e[0]), c // power % p
-    return term
-
-
-def _embed_term(ring):
-    """Carry a plane F_p-term into ring = Z/p^k[y] by canonical residues:
-    lambda * x^v * y^j becomes int(lambda) * p^v * y^j, with each p^v
-    formed once per map."""
-    powers = {}
-
-    def term(e, lam):
-        v, j = e
-        if v not in powers:
-            powers[v] = ring.p**v % ring.modulus
-        return (j,), lam * powers[v]
+        return (exponents[power.bit_length()], j), c // power % p
     return term
 
 
@@ -330,24 +321,97 @@ def _padic_lift(pp, rest, split):
     """Lift a plane split to factors of pp in Z/p^k[y]; returns their
     coefficient tuples and the certificate.
 
-    The shared loop runs untruncated on f in y, reading residuals in the
-    plane model and embedding corrections by canonical residues.  Each step
-    caps the solution blocks at the y-degrees of the true factors (deg G
-    and deg f - deg G), since free choices above those degrees would stop
-    the p-adic sums from converging.
+    The p-adic loop keeps f, g, h and the residual f - g*h as dense lists
+    of residues indexed by y-degree, and each nonzero residual degree's
+    plane view: its point (v_p(c), j), digit and weight in ws.xi0.  A step's
+    terms are the views of least weight; the shared _step_solver solves
+    them over F_p, and a solved lambda at (v, j) adds lambda * p^v to the
+    factor's degree j.  The step subtracts g'*(h + h') + g*h' from the
+    residual as list convolutions and views again only the degrees they
+    wrote.  Each step caps the solution blocks at the y-degrees of the true
+    factors (deg f - deg G for h' and deg G for g'), since free choices
+    above those degrees would stop the p-adic sums from converging; so no
+    product passes deg f.  The loop ends when the residual is zero, and the
+    product check forms f - g*h once more from the lists.
     """
-    f = _as_poly(pp)
+    p, modulus = pp.p, pp.ring.modulus
+    f = list(pp.coefficients)
     ws = rest.ws
-    deg_y = max(j for (j,) in f.terms)
-    d_monic = max(j for _, j in split.G.terms)
-    caps = (deg_y - d_monic, d_monic)
-    g, h, cert = _run_lift(f, ws, split.G, split.H, None, _plane_term(f.ring),
-                           _embed_term(f.ring), caps)
-    assert cert.exit_min_weight is None, "p-adic product check failed: f - g*h is not 0"
-    cert.bound = (pp.k - 1) * ws.xi0[0] + deg_y * ws.xi0[1]
-    return _dense(g), _dense(h), cert
+    x0, x1 = ws.xi0
+    G, H = split.G, split.H
+    w, z = _uniform_weight(G, ws), _uniform_weight(H, ws)
+    d, deg_f = max(j for _, j in G.terms), len(f) - 1
+    solve = _step_solver(G, H, w, ws, (deg_f - d, d))
+    view = _plane_term(pp.ring)
+    powers = {}
+
+    def embedded(part):
+        """(j, lambda * p^v mod p^k) for each plane term ((v, j), lambda)."""
+        out = []
+        for (v, j), lam in part:
+            power = powers.get(v)
+            if power is None:
+                power = powers[v] = p**v % modulus
+            out.append((j, lam * power % modulus))
+        return out
+
+    def grow(terms, part):
+        for j, c in part:
+            terms[j] = (terms[j] + c) % modulus
+
+    g, h = [0] * (d + 1), [0] * (deg_f - d + 1)
+    assert max(j for _, j in H.terms) < len(h), "H passes the cap deg f - deg G"
+    grow(g, embedded(G.terms.items()))
+    grow(h, embedded(H.terms.items()))
+    r = f[:]
+    views = [None] * len(f)   # per degree: (weight, point, digit), None at 0
+
+    def review(degrees):
+        for j in degrees:
+            c = r[j] = r[j] % modulus
+            if c:
+                point, digit = view(j, c)
+                views[j] = x0 * point[0] + x1 * j, point, digit
+            else:
+                views[j] = None
+
+    review(_subtract_product(r, enumerate(g), h))
+    cert = LiftCertificate(w, z, (pp.k - 1) * x0 + deg_f * x1)
+    previous = None
+    while True:
+        live = [x for x in views if x]
+        least = min(live)[0] if live else None
+        if cert.steps:
+            cert.steps[-1].residual_after = least
+        if least is None:
+            break
+        if previous is not None and least <= previous:
+            raise Unsolvable(f"residual weight did not increase at {(least,)}")
+        previous = least
+        step = (least - w[0] - z[0],)
+        if step[0] < 0:
+            raise Unsolvable(f"residual weight {(least,)} below the initial weight")
+        terms = [(point, digit) for weight, point, digit in live if weight == least]
+        h_part, g_part, dims = solve(terms, terms[0][0], (least - w[0],))
+        cert.steps.append(LiftStep(step, dims, least))
+        # (g + g')(h + h') - g*h = g'*(h + h') + g*h'
+        h_part, g_part = embedded(h_part), embedded(g_part)
+        grow(h, h_part)
+        touched = _subtract_product(r, g_part, h) | _subtract_product(r, h_part, g)
+        grow(g, g_part)
+        review(touched)
+    check = f[:]
+    _subtract_product(check, enumerate(g), h)
+    assert not any(c % modulus for c in check), "p-adic product check failed: f - g*h is not 0"
+    return tuple(trim(g, pp.ring)), tuple(trim(h, pp.ring)), cert
 
 
-def _dense(P):
-    """Coefficient tuple of a univariate polynomial, ascending."""
-    return tuple(P.coeff((j,)) for j in range(max(e[0] for e in P.terms) + 1))
+def _subtract_product(r, left, right):
+    """r -= left * right, for ``left`` (degree, coefficient) pairs and
+    ``right`` a coefficient list; returns the degrees of r written."""
+    written = set()
+    for j1, c1 in left:
+        for j, c2 in enumerate(right, j1):
+            r[j] -= c1 * c2
+        written.update(range(j1, j1 + len(right)))
+    return written

@@ -754,31 +754,34 @@ def test_the_monic_lift_eliminates_its_h_block_once(monkeypatch):
 
 
 def test_a_lift_step_builds_no_sparse_poly(monkeypatch):
-    """The loop keeps its residual, g, h and each step's solution as plain
-    dicts, so the SparsePoly constructions in _run_lift do not grow with the
-    number of steps.  That includes the exit weight, which a bounded lift
-    reads layer by layer without building a polynomial."""
+    """The loops keep their residual, g, h and each step's solution as plain
+    dicts and lists, so the SparsePoly constructions in _run_lift and in the
+    dense p-adic loop (weier._padic_lift) do not grow with the number of
+    steps.  That includes the exit weight, which a bounded lift reads layer
+    by layer without building a polynomial, and padic's product check."""
     import edgelift.lift as lift
     import edgelift.weier as weier
     from edgelift.weier import PadicPoly, padic_newton_factor
 
     counting, built = [False], [0]
-    init, run = SparsePoly.__init__, lift._run_lift
+    init = SparsePoly.__init__
 
     def counting_init(self, *args, **kwargs):
         built[0] += counting[0]
         init(self, *args, **kwargs)
 
-    def counting_run(*args, **kwargs):
-        counting[0] = True
-        try:
-            return run(*args, **kwargs)
-        finally:
-            counting[0] = False
+    def counted(run):
+        def counting_run(*args, **kwargs):
+            counting[0] = True
+            try:
+                return run(*args, **kwargs)
+            finally:
+                counting[0] = False
+        return counting_run
 
     monkeypatch.setattr(SparsePoly, "__init__", counting_init)
-    monkeypatch.setattr(lift, "_run_lift", counting_run)
-    monkeypatch.setattr(weier, "_run_lift", lift._run_lift)
+    monkeypatch.setattr(lift, "_run_lift", counted(lift._run_lift))
+    monkeypatch.setattr(weier, "_padic_lift", counted(weier._padic_lift))
 
     def padic(k):
         built[0] = 0

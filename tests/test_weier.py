@@ -19,6 +19,7 @@ from edgelift.weier import (NoCoprimeSplit, NoLooseEdgeInfo, NotDescendant,
                             WeierstrassInput, descendant_loose_edges,
                             lift_monic, padic_newton_factor, poly_divide,
                             weierstrass_normalize)
+from edgelift.weier import _as_poly, _plane
 
 Q = rationals()
 X12Y = VarTable(("x1", "x2", "y"))
@@ -574,6 +575,61 @@ def test_padic_steps_solve_within_exact_caps():
             a, b = verdict.factors
             assert pmul(list(a), list(b), pp.ring) == trim(list(pp.coefficients), pp.ring)
     assert factored >= 50
+
+
+def test_the_dense_padic_loop_on_two_slope_inputs():
+    """On monic inputs whose Newton polygon has two slopes, the dense p-adic
+    loop returns factors whose product, formed with plain ints, is f mod
+    p^k; g has the split's degree and reduces to the monic G mod p (the
+    g'-cap is deg G, so its leading coefficient need not stay 1: for
+    y^2 + 2*y + 8 at p = 2, k = 4 it is 11); each step's residual weight is
+    above the last, and its residual_after is the next step's
+    residual_before, None after the last step."""
+    hp = pytest.importorskip("hypothesis")
+    st = hp.strategies
+
+    @st.composite
+    def inputs(draw):
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        degree = draw(st.integers(2, 8))
+        j1 = draw(st.integers(1, degree - 1))
+        b = draw(st.integers(1, 3))
+        a = draw(st.integers(b + 1, 5))
+        # the chain: slope -a on [0, j1], slope -b on [j1, degree]
+        chain = [b * (degree - j) if j >= j1 else b * (degree - j1) + a * (j1 - j)
+                 for j in range(degree + 1)]
+        k = draw(st.integers(max(4, chain[0] + 1), 40))
+        coeffs = []
+        for j, v in enumerate(chain[:-1]):
+            above = 0 if j in (0, j1) else draw(st.integers(0, 2))
+            unit = draw(st.integers(1, p**k - 1).filter(lambda u: u % p))
+            coeffs.append(unit * p ** (v + above) % p**k)
+        return PadicPoly(tuple(coeffs) + (1,), p, k)
+
+    @hp.settings(derandomize=True, database=None, deadline=None, max_examples=100,
+                 suppress_health_check=list(hp.HealthCheck))
+    @hp.given(inputs())
+    def check(pp):
+        verdict = padic_newton_factor(pp)
+        assert isinstance(verdict, PadicFactors)
+        modulus = pp.p**pp.k
+        g, h = verdict.factors
+        product = [0] * (len(g) + len(h) - 1)
+        for i, a in enumerate(g):
+            for j, b in enumerate(h):
+                product[i + j] += a * b
+        assert [c % modulus for c in product] == list(pp.coefficients)
+        edges = [e for e in verdict.polygon.edges if e.descendant]
+        _, split = _first_split(_plane(_as_poly(pp)), edges, monic_last=True)
+        assert g[-1] % pp.p == 1 and len(g) - 1 == max(j for _, j in split.G.terms)
+        steps = verdict.certificate.steps
+        assert steps
+        for before, after in zip(steps, steps[1:]):
+            assert before.residual_before < after.residual_before
+            assert before.residual_after == after.residual_before
+        assert steps[-1].residual_after is None
+
+    check()
 
 
 def test_padic_monic_weierstrass_sanity():
