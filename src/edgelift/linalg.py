@@ -1,10 +1,13 @@
 """Exact linear-algebra helpers.
 
-Two solvers back the rest of the package: row reduction over a coefficient
-field with a fixed, deterministic pivoting order (columns left to right),
-which continues, rather than redoes, on a system extended by columns on the
-right, and an integer solver for A x = b based on column Hermite reduction
-with a unimodular transform, which also reports a kernel basis.
+One field elimination and one integer solver back the rest of the package.
+The field elimination grows a system by columns on the right, each column
+replayed through the operations so far and pivoted (pivot columns left to
+right, pivot rows first nonzero top-down), so an extended system continues
+its elimination rather than redoing it; a right-hand side is solved by
+replaying the operations on it.  The integer solver handles A x = b by column
+Hermite reduction with a unimodular transform, and also reports a kernel
+basis.
 """
 
 from __future__ import annotations
@@ -24,78 +27,18 @@ def xgcd(a, b):
 
 
 def solve_field(ring, rows, rhs):
-    """Solve ``rows . x = rhs`` over a field ring.
+    """Solve ``rows . x = rhs`` over a field ring, in reduced scalars.
 
-    Pivot columns are taken left to right, pivot rows top-down (first nonzero
-    entry).  Free variables are set to zero.  Returns the solution list or
-    None when the system is inconsistent; ``rows`` is left as it is.
-    """
-    return _apply_elimination(ring, _eliminate_field(ring, [list(r) for r in rows]),
-                              enumerate(rhs))
-
-
-def _eliminate_field(ring, rows):
-    """Row-reduce ``rows``, a list of row lists, in place, with solve_field's
-    pivot order.
-
-    Returns (nrows, ncols, pivots, ops): ``pivots`` lists the pivot column of
-    each reduced row and ``ops`` holds, per pivot, the row swapped into place,
-    the pivot's inverse and the (row, factor) eliminations, which
-    _apply_elimination replays on a right-hand side.  Entries are reduced
-    mod ring.modulus (none over Q) as they are formed, with the plain
-    operators, so a zero test is a plain one; ``rows`` must hold reduced
-    scalars.
+    The columns of ``rows`` extend the empty elimination (pivot columns left
+    to right, pivot rows the first nonzero entry top-down), and ``rhs`` is
+    replayed through it.  Free variables are set to zero.  Returns the
+    solution list or None when the system is inconsistent; ``rows`` is left
+    as it is.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    modulus = ring.modulus
-    pivots = []
-    ops = []
-    r = 0
-    for col in range(n):
-        for pivot_row in range(r, m):
-            if rows[pivot_row][col]:
-                break
-        else:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # Rows r.. are zero left of col, so the pivot row's nonzero entries,
-        # all from col on, are the only columns an elimination changes.
-        pivot = rows[r]
-        inv = ring.invert(pivot[col])
-        support = [j for j in range(col, n) if pivot[j]]
-        if modulus is None:
-            for j in support:
-                pivot[j] *= inv
-        else:
-            for j in support:
-                pivot[j] = pivot[j] * inv % modulus
-        eliminations = []
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                if modulus is None:
-                    for j in support:
-                        row[j] -= f * pivot[j]
-                else:
-                    for j in support:
-                        row[j] = (row[j] - f * pivot[j]) % modulus
-                eliminations.append((i, f))
-        pivots.append(col)
-        ops.append((pivot_row, inv, eliminations))
-        r += 1
-    return m, n, pivots, ops
-
-
-def _apply_elimination(ring, elimination, rhs):
-    """Solve an eliminated system for the right-hand side given as
-    (row, value) pairs of reduced scalars, every other entry zero; None
-    when inconsistent."""
-    m, n, pivots, ops = elimination
-    b = [0] * m
-    for i, v in rhs:
-        b[i] = v
-    b = _replay(ring, ops, b)
+    columns = [list(enumerate(column)) for column in zip(*rows)]
+    _, n, pivots, ops = _extend_elimination(ring, (m, 0, [], []), columns, m)
+    b = _replay(ring, ops, list(rhs))
     if any(b[len(ops):]):
         return None
     x = [ring.zero()] * n
@@ -138,11 +81,12 @@ def _extend_elimination(ring, elimination, columns, m):
     columns.  ``elimination`` is left as it is.
 
     Pivots run left to right, so the old pivots and operations are the
-    first ones of the extended system, and a new column meets them in
-    _eliminate_field as its replay through them: each new column is
-    replayed through every operation so far and then pivoted as
-    _eliminate_field pivots, which gives the operations of a fresh
-    elimination of the extended system."""
+    first ones of the extended system: each new column is replayed through
+    every operation so far and pivots at its first nonzero entry below the
+    pivot rows so far.  Extending the empty elimination (m, 0, [], []) by a
+    system's columns, in one call or several, eliminates the system.
+    ``ops`` holds, per pivot, the row swapped into place, the pivot's
+    inverse and the (row, factor) eliminations that _replay applies."""
     _, n, pivots, ops = elimination
     pivots, ops = list(pivots), list(ops)
     for column in columns:

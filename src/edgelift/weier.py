@@ -271,6 +271,9 @@ def _plane_term(ring):
 
 @dataclass(frozen=True)
 class PadicFactors:
+    """A p-adic split: the factors multiply to f mod p^k.  The first lifts
+    the monic split part G but is monic only mod p (y^2 + 2*y + 8 at p = 2,
+    k = 4 gives 2 + 11*y)."""
     factors: tuple            # coefficient tuples over Z/p^k, ascending in y
     edge: newton.Edge
     restriction: SparsePoly   # over F_p in the (p, y) plane model
@@ -298,7 +301,8 @@ def padic_newton_factor(pp):
     plane polygon is loose.  Per descendant edge the restriction over F_p is
     factored; when a coprime split with a monic part exists it is lifted with
     residue-field solves and canonical-residue representatives, and the
-    product is verified mod p^k.  Verdicts: PadicFactors, NoCoprimeSplit, or
+    product is verified mod p^k.  The lifted first factor is monic only mod
+    p (PadicFactors).  Verdicts: PadicFactors, NoCoprimeSplit, or
     NoLooseEdgeInfo.
     """
     if pp.coefficients[-1] % pp.p == 0:

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is pure integer arithmetic (cofactor determinants and
+The geometry oracles are pure integer arithmetic (cofactor determinants and
 extreme-ray enumeration), deliberately sharing no code with the package's
 rational simplex, so the two classifications check each other.
 
@@ -14,6 +14,11 @@ prescribed strict inequalities; the cone is pointed (it sits inside the
 orthant), so the sum of its extreme rays is strict on a constraint exactly
 when some ray is, and the rays are enumerated from (n-1)-subsets of active
 constraints via cofactor kernels.
+
+The field-solve reference, dense_solve_field, is a Gauss-Jordan elimination
+that rewrites whole rows through the ring's scalar operations; it shares no
+code with the package's elimination, which grows a system by columns and
+replays its row operations on a right-hand side.
 """
 
 from itertools import combinations
@@ -159,3 +164,37 @@ def box_slice_points(basis_rows, w, bound):
 
     rec([])
     return sorted(out, key=lambda e: (sum(e), e))
+
+
+def dense_solve_field(ring, rows, rhs):
+    """Reference Gauss-Jordan elimination that rewrites whole rows, with the
+    pivot order of linalg.solve_field: columns left to right, first nonzero
+    row.  Free variables are zero; None when the system is inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) for r in rows]
+    b = list(rhs)
+    pivots = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, m) if not ring.is_zero(a[i][col])), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        b[r], b[pivot_row] = b[pivot_row], b[r]
+        inv = ring.invert(a[r][col])
+        a[r] = [ring.mul(v, inv) for v in a[r]]
+        b[r] = ring.mul(b[r], inv)
+        for i in range(m):
+            if i != r and not ring.is_zero(a[i][col]):
+                f = a[i][col]
+                a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[r])]
+                b[i] = ring.sub(b[i], ring.mul(f, b[r]))
+        pivots.append(col)
+        r += 1
+    if any(not ring.is_zero(v) for v in b[r:]):
+        return None
+    x = [ring.zero()] * n
+    for i, col in enumerate(pivots):
+        x[col] = b[i]
+    return x

@@ -16,9 +16,9 @@ from edgelift.lift import (DIVISIBLE_BY_VARIABLE, EdgePrimePower,
                            Unsolvable, lift_factorization, reducibility_witness,
                            restrict, solve_cofactor)
 from edgelift.newton import Edge, build
-from edgelift.linalg import solve_field
 from edgelift.poly import SparsePoly, WeightedBound, exp_add, exp_dot, exp_scale, exp_sub
 from edgelift.unifactor import factor_univariate
+from oracles import dense_solve_field
 
 Q = rationals()
 X123 = VarTable(("x1", "x2", "x3"))
@@ -211,7 +211,7 @@ def reference_cofactor(G, H, r, ws, caps):
     columns = [(G, p) for p in h_pts] + [(H, p) for p in g_pts]
     rows = sorted({exp_add(e, p) for F, p in columns for e in F.terms} | set(r.terms))
     matrix = [[F.coeff(exp_sub(row, p)) for F, p in columns] for row in rows]
-    solution = solve_field(ring, matrix, [r.coeff(row) for row in rows])
+    solution = dense_solve_field(ring, matrix, [r.coeff(row) for row in rows])
 
     def positions(F, pts):
         return [exp_dot(exp_add(e, p), ws.direction) for p in pts for e in F.terms]
@@ -270,11 +270,11 @@ def test_solve_cofactor_matches_matrix_reference():
 @pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(2, 6).residue_field(),
                                   residue_ring(5, 3).residue_field()],
                          ids=["Q", "F7", "Z2^6", "Z5^3"])
-def test_the_step_solve_matches_solve_field(ring, monkeypatch):
+def test_the_step_solve_matches_the_dense_reference(ring, monkeypatch):
     """The lift loop's step solve, one _step_solver kept across the solves
-    of a split as _run_lift keeps it, returns solve_field's solution of the
-    explicit cofactor matrix and raises Unsolvable exactly where solve_field
-    finds it inconsistent, over Q, F_p and the residue fields of Z/p^k (F_2
+    of a split as _run_lift keeps it, returns the dense reference's solution
+    of the explicit cofactor matrix and raises Unsolvable exactly where the
+    reference finds it inconsistent, over Q, F_p and the residue fields of Z/p^k (F_2
     and F_5), on right-hand sides of several terms and with capped columns;
     it eliminates fewer columns than the systems it solves hold."""
     import edgelift.lift as lift

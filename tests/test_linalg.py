@@ -4,8 +4,8 @@ from fractions import Fraction
 from edgelift.coeffs import prime_field, rationals
 import pytest
 
-from edgelift.linalg import (_apply_elimination, _eliminate_field, _extend_elimination,
-                             solve_field, solve_integer, xgcd)
+from edgelift.linalg import _extend_elimination, _replay, solve_field, solve_integer, xgcd
+from oracles import dense_solve_field
 
 
 def test_xgcd():
@@ -33,19 +33,16 @@ def test_solve_field_inconsistent():
     assert solve_field(Q, rows, [Fraction(1), Fraction(3)]) is None
 
 
-def test_solve_field_leaves_its_rows_and_eliminate_field_reduces_in_place():
-    """solve_field works on a copy of the caller's rows; _eliminate_field,
-    which the lift loop hands a matrix it built for it, reduces its
-    argument to the reduced rows it returns the pivots of."""
+def test_solve_field_leaves_its_rows_and_pivots_left_to_right():
+    """solve_field leaves the caller's rows as they are, and the elimination
+    of a rank-2 system pivots in its first two columns."""
     for ring in (rationals(), prime_field(7)):
         rows = [[ring.from_int(v) for v in row] for row in ([0, 2, 1], [3, 1, 0], [6, 2, 0])]
         before = [list(row) for row in rows]
         assert solve_field(ring, rows, [ring.from_int(v) for v in (1, 1, 2)]) is not None
         assert rows == before
-        m, n, pivots, _ = _eliminate_field(ring, rows)
+        m, n, pivots, _ = eliminate(ring, rows)
         assert (m, n, pivots) == (3, 3, [0, 1])
-        assert rows != before and rows[2] == [0, 0, 0]
-        assert [rows[i][col] for i, col in enumerate(pivots)] == [1, 1]
 
 
 def test_solve_field_randomized():
@@ -63,37 +60,28 @@ def test_solve_field_randomized():
 
 
 
-def dense_solve_field(ring, rows, rhs):
-    """Reference Gauss-Jordan elimination that rewrites whole rows, with the
-    pivot order of solve_field: columns left to right, first nonzero row."""
+def eliminate(ring, rows):
+    """The elimination of ``rows``: one _extend_elimination call from the
+    empty elimination, with every column of ``rows``."""
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) for r in rows]
-    b = list(rhs)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if not ring.is_zero(a[i][col])), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        b[r], b[pivot_row] = b[pivot_row], b[r]
-        inv = ring.invert(a[r][col])
-        a[r] = [ring.mul(v, inv) for v in a[r]]
-        b[r] = ring.mul(b[r], inv)
-        for i in range(m):
-            if i != r and not ring.is_zero(a[i][col]):
-                f = a[i][col]
-                a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[r])]
-                b[i] = ring.sub(b[i], ring.mul(f, b[r]))
-        pivots.append(col)
-        r += 1
-    if any(not ring.is_zero(v) for v in b[r:]):
-        return None
-    x = [ring.zero()] * n
-    for i, col in enumerate(pivots):
-        x[col] = b[i]
-    return x
+    return _extend_elimination(ring, (m, 0, [], []),
+                               [list(enumerate(column)) for column in zip(*rows)], m)
+
+
+def check_replay(ring, elimination, rows, rhs):
+    """Replay ``rhs`` through the elimination of ``rows`` and check it
+    against the dense reference: consistent exactly when the reference
+    solves it, with the replayed entries the reference's values at the
+    pivot columns and the reference zero at the free ones.  Returns whether
+    the system is inconsistent."""
+    _, n, pivots, ops = elimination
+    b = _replay(ring, ops, list(rhs))
+    expected = dense_solve_field(ring, rows, rhs)
+    assert any(b[len(ops):]) == (expected is None)
+    if expected is not None:
+        assert [ring.normalize(v) for v in b[:len(ops)]] == [expected[c] for c in pivots]
+        assert all(ring.is_zero(expected[c]) for c in range(n) if c not in pivots)
+    return expected is None
 
 
 def random_system(rng, ring):
@@ -122,7 +110,7 @@ def random_system(rng, ring):
 
 def test_solve_field_matches_dense_reference():
     rng = random.Random(8080)
-    for ring in (rationals(), prime_field(7)):
+    for ring in (rationals(), prime_field(7), prime_field(2)):
         outcomes = set()
         for _ in range(400):
             rows, rhs = random_system(rng, ring)
@@ -136,10 +124,12 @@ def test_solve_field_ignores_zero_rows_and_row_order():
     """The solution depends only on the columns: inserting zero rows or
     permuting the rows leaves it, or its absence, unchanged."""
     rng = random.Random(9090)
-    for ring in (rationals(), prime_field(7)):
+    for ring in (rationals(), prime_field(7), prime_field(2)):
+        outcomes = set()
         for _ in range(300):
             rows, rhs = random_system(rng, ring)
             expected = solve_field(ring, rows, rhs)
+            outcomes.add(expected is None)
             system = list(zip(rows, rhs))
             for _ in range(rng.randint(1, 3)):
                 zero_row = [ring.zero()] * len(rows[0])
@@ -147,17 +137,19 @@ def test_solve_field_ignores_zero_rows_and_row_order():
             rng.shuffle(system)
             new_rows, new_rhs = zip(*system)
             assert solve_field(ring, list(new_rows), list(new_rhs)) == expected
+        assert outcomes == {True, False}
 
 
 def test_elimination_applies_to_many_right_hand_sides():
-    """One elimination answers every right-hand side of its matrix, sparse
-    or dense, consistent or not, as a fresh solve_field would."""
+    """One elimination, replayed, answers every right-hand side of its
+    matrix, sparse or dense, consistent or not, as the dense reference
+    does."""
     rng = random.Random(4242)
     for ring in (rationals(), prime_field(7)):
         outcomes = set()
         for _ in range(150):
             rows, _ = random_system(rng, ring)
-            elimination = _eliminate_field(ring, [list(row) for row in rows])
+            elimination = eliminate(ring, rows)
             for _ in range(6):
                 if rng.random() < 0.5:
                     x_true = [ring.from_int(rng.randint(-5, 5)) for _ in rows[0]]
@@ -165,10 +157,7 @@ def test_elimination_applies_to_many_right_hand_sides():
                 else:
                     rhs = [ring.from_int(rng.randint(-5, 5) if rng.random() < 0.5 else 0)
                            for _ in rows]
-                sparse = [(i, v) for i, v in enumerate(rhs) if not ring.is_zero(v)]
-                sol = _apply_elimination(ring, elimination, sparse)
-                assert sol == solve_field(ring, rows, rhs) == dense_solve_field(ring, rows, rhs)
-                outcomes.add(sol is None)
+                outcomes.add(check_replay(ring, elimination, rows, rhs))
         assert outcomes == {True, False}
 
 
@@ -178,9 +167,10 @@ def test_an_extended_elimination_solves_as_a_fresh_one():
     column at a time as a growing sequence of keys (len_h, len_g, offset)
     asks for it, and each key's elimination is the block's first len_h
     columns extended by its g'-columns, H shifted by offset + i steps.  Over
-    F_p and Q, each gives the pivots and operations of a fresh
-    _eliminate_field of the key's matrix, and every right-hand side,
-    consistent or not, the same solution or None."""
+    F_p and Q, each gives the pivots and operations of the key's matrix
+    eliminated in one call from the empty elimination, and every
+    right-hand side, consistent or not, replays to the dense reference's
+    solution or None."""
     hp = pytest.importorskip("hypothesis")
     st = hp.strategies
     rings = st.sampled_from([rationals(), prime_field(2), prime_field(7)])
@@ -216,7 +206,7 @@ def test_an_extended_elimination_solves_as_a_fresh_one():
                 for t, c in enumerate(h):
                     if c:
                         matrix[rows[t + offset + i * step]][len_h + i] = c
-            fresh = _eliminate_field(ring, [list(r) for r in matrix])
+            fresh = eliminate(ring, matrix)
             assert extended == fresh
             for _ in range(3):
                 if data.draw(st.booleans()):
@@ -224,11 +214,8 @@ def test_an_extended_elimination_solves_as_a_fresh_one():
                     rhs = [sum_row(ring, r, x) for r in matrix]
                 else:
                     rhs = [ring.from_int(data.draw(st.integers(-2, 2))) for _ in matrix]
-                sparse = [(i, v) for i, v in enumerate(rhs) if v]
-                solution = _apply_elimination(ring, extended, sparse)
-                assert solution == _apply_elimination(ring, fresh, sparse)
-                assert solution == solve_field(ring, matrix, rhs)
-                outcomes.add(solution is None)
+                outcomes.add(check_replay(ring, fresh, matrix, rhs))
+                assert solve_field(ring, matrix, rhs) == dense_solve_field(ring, matrix, rhs)
 
     check()
     assert outcomes == {True, False}
