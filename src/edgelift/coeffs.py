@@ -4,10 +4,12 @@ Three coefficient rings are available: the rationals Q, prime fields F_p,
 and truncated residue rings Z/p^k.  Scalar values are plain Python objects in
 one canonical form: over Q an ``int`` when integral and otherwise a
 ``Fraction`` with denominator above 1, elsewhere an integer residue in
-``[0, p^k)``.  A :class:`RingDescriptor` supplies the arithmetic and hands out
-canonical scalars, except that over Q ``add``, ``sub`` and ``mul`` return
-Python's own result (two Fractions may add up to an integral one) for
-``normalize`` to settle.  Everything is exact -- no floating point anywhere.
+``[0, p^k)``.  So zero is ``0`` and one is ``1`` in every ring.  Callers add,
+subtract and multiply scalars with Python's operators and settle the result
+with :meth:`RingDescriptor.normalize` where it is stored or tested (two
+Fractions may add up to an integral one; a product may leave [0, p^k)); the
+descriptor supplies ``normalize``, ``invert`` and ``div``.  Everything is
+exact -- no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ def is_prime(p):
 class RingDescriptor:
     """Which ring coefficients live in: Q, F_p, or Z/p^k.
 
-    Serializes as "Q", "F<p>" or "Z/<p>^<k>".
+    Scalars are plain ints and Fractions, combined with Python's operators;
+    the descriptor puts them in canonical form (``normalize``), inverts and
+    divides them.  Serializes as "Q", "F<p>" or "Z/<p>^<k>".
     """
 
     kind: str
@@ -111,22 +115,6 @@ class RingDescriptor:
 
     # -- element arithmetic --------------------------------------------------
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return self.normalize(n)
-
-    def from_fraction(self, q):
-        """Map a rational into the ring; the denominator must be a unit."""
-        if self.kind == RATIONALS:
-            return self.normalize(q)
-        q = Fraction(q)
-        return self.mul(self.from_int(q.numerator), self.invert(self.from_int(q.denominator)))
-
     def normalize(self, a):
         """Canonical form: over Q an int when integral and otherwise a reduced
         Fraction, whose denominator is then above 1; a residue in [0, p^k)
@@ -138,24 +126,6 @@ class RingDescriptor:
                 a = Fraction(a)
             return a.numerator if a.denominator == 1 else a
         return a % self.modulus
-
-    def is_zero(self, a):
-        return a == 0
-
-    def add(self, a, b):
-        c = a + b
-        return c if self.kind == RATIONALS else c % self.modulus
-
-    def sub(self, a, b):
-        c = a - b
-        return c if self.kind == RATIONALS else c % self.modulus
-
-    def mul(self, a, b):
-        c = a * b
-        return c if self.kind == RATIONALS else c % self.modulus
-
-    def neg(self, a):
-        return -a if self.kind == RATIONALS else (-a) % self.modulus
 
     def invert(self, a):
         """Multiplicative inverse; raises NotInvertible for zero or p | a."""
@@ -173,7 +143,7 @@ class RingDescriptor:
         normalize."""
         if b == 1:
             return self.normalize(a)
-        return self.normalize(self.mul(a, self.invert(b)))
+        return self.normalize(a * self.invert(b))
 
     def is_unit(self, a):
         if self.kind == RATIONALS:

@@ -186,11 +186,10 @@ def _line_form(poly, direction):
         if t is None:
             raise NotEdgeHomogeneous(f"{point} is off the line through {base}")
         steps[t] = poly.terms[point]
-    ring = poly.ring
-    uni = [ring.zero()] * (max(steps) + 1)
+    uni = [0] * (max(steps) + 1)
     for t, c in steps.items():
         uni[t] = c
-    return base, trim(uni, ring)
+    return base, trim(uni, poly.ring)
 
 
 def _ratio(diff, direction):
@@ -221,7 +220,7 @@ def edge_poly_from_univariate(ring, nvars, direction, coeffs, anchor=None):
     if anchor is None:
         anchor = tuple(deg * max(0, -d) for d in direction)
     return SparsePoly(nvars, ring, {exp_add(anchor, exp_scale(direction, i)): c
-                                    for i, c in enumerate(coeffs) if not ring.is_zero(c)})
+                                    for i, c in enumerate(coeffs) if c})
 
 
 # -- coprimality ----------------------------------------------------------------
@@ -725,14 +724,13 @@ def _top_in_last(G):
 
 def _normalize_monic_last(G, H):
     """Scale G so its top term in the last variable is the bare monomial."""
-    ring = G.ring
     lam = _top_in_last(G)[1]
     if lam is None:
         raise InvalidSplit(PRODUCT_MISMATCH,
                            "split part cannot be normalized to be monic in the last variable")
-    if lam == ring.one():
+    if lam == 1:
         return G, H
-    return G.scale(ring.invert(lam)), H.scale(lam)
+    return G.scale(G.ring.invert(lam)), H.scale(lam)
 
 
 def _prime_power(rest, base, mult):

@@ -41,7 +41,7 @@ def solve_field(ring, rows, rhs):
     b = _replay(ring, ops, list(rhs))
     if any(b[len(ops):]):
         return None
-    x = [ring.zero()] * n
+    x = [0] * n
     for col, v in zip(pivots, b):
         x[col] = ring.normalize(v)
     return x

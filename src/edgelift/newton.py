@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import EQ, GE, LE, feasible_point
-from .poly import deglex_key, exp_add, exp_dot, exp_neg, exp_scale, exp_sub, primitive_vector
+from .poly import deglex_key, exp_add, exp_dot, exp_neg, exp_sub, primitive_vector
 
 
 class ZeroPolynomial(ValueError):
@@ -48,11 +48,6 @@ class Edge:
     loose: bool
     descendant: bool
 
-    def lattice_points(self):
-        """All integer points on the segment, from a to b in direction steps."""
-        steps = _lattice_length(self.a, self.b, self.direction)
-        return [exp_add(self.a, exp_scale(self.direction, t)) for t in range(steps + 1)]
-
     def to_dict(self):
         return {
             "a": list(self.a),
@@ -61,13 +56,6 @@ class Edge:
             "loose": self.loose,
             "descendant": self.descendant,
         }
-
-
-def _lattice_length(a, b, direction):
-    for x, y, d in zip(a, b, direction):
-        if d:
-            return (y - x) // d
-    raise ValueError("degenerate edge")
 
 
 class NewtonPolyhedron:

@@ -102,7 +102,7 @@ class SparsePoly:
             if exponent in clean:
                 coeff = clean[exponent] + coeff
             coeff = ring.normalize(coeff)
-            if ring.is_zero(coeff):
+            if not coeff:
                 clean.pop(exponent, None)
                 continue
             clean[exponent] = coeff
@@ -121,9 +121,7 @@ class SparsePoly:
         return cls(nvars, ring, {(0,) * nvars: value})
 
     @classmethod
-    def monomial(cls, nvars, ring, exponent, coeff=None):
-        if coeff is None:
-            coeff = ring.one()
+    def monomial(cls, nvars, ring, exponent, coeff=1):
         return cls(nvars, ring, {tuple(exponent): coeff})
 
     # -- queries -------------------------------------------------------------
@@ -142,7 +140,7 @@ class SparsePoly:
         return [(e, self.terms[e]) for e in self.support()]
 
     def coeff(self, exponent):
-        return self.terms.get(tuple(exponent), self.ring.zero())
+        return self.terms.get(tuple(exponent), 0)
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
@@ -211,10 +209,8 @@ class SparsePoly:
     def scale(self, coeff):
         return SparsePoly(self.nvars, self.ring, {e: c * coeff for e, c in self.terms.items()})
 
-    def mul_monomial(self, exponent, coeff=None):
+    def mul_monomial(self, exponent, coeff=1):
         """Multiply by coeff * x^exponent; entries of ``exponent`` may be negative."""
-        if coeff is None:
-            coeff = self.ring.one()
         exponent = tuple(exponent)
         return SparsePoly(self.nvars, self.ring,
                           {exp_add(e, exponent): c * coeff for e, c in self.terms.items()})
@@ -222,7 +218,7 @@ class SparsePoly:
     def pow(self, n):
         if n < 0:
             raise ValueError("negative power")
-        out = SparsePoly.constant(self.nvars, self.ring, self.ring.one())
+        out = SparsePoly.constant(self.nvars, self.ring, 1)
         base = self
         while n:
             if n & 1:

@@ -36,7 +36,7 @@ class DegreeTooLarge(ValueError):
 
 def trim(cs, ring):
     cs = [ring.normalize(c) for c in cs]
-    while cs and ring.is_zero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -77,13 +77,13 @@ def pdivmod(a, b, ring):
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     inv = ring.invert(b[-1])
-    q = [ring.zero()] * max(0, len(a) - len(b) + 1)
+    q = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b) and a:
-        c = ring.mul(a[-1], inv)
+        c = ring.normalize(a[-1] * inv)
         shift = len(a) - len(b)
         q[shift] = c
         for i, y in enumerate(b):
-            a[shift + i] = ring.sub(a[shift + i], ring.mul(c, y))
+            a[shift + i] -= c * y
         a = trim(a, ring)
     return trim(q, ring), a
 
@@ -109,8 +109,8 @@ def pgcd(a, b, ring):
 def pxgcd(a, b, ring):
     """(g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = trim(list(a), ring), trim(list(b), ring)
-    s0, s1 = [ring.one()], []
-    t0, t1 = [], [ring.one()]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
         q, r = pdivmod(r0, r1, ring)
         r0, r1 = r1, r
@@ -123,7 +123,7 @@ def pxgcd(a, b, ring):
 
 
 def ppow_mod(base, e, mod, ring):
-    out = [ring.one()]
+    out = [1]
     base = pmod(base, mod, ring)
     while e:
         if e & 1:
@@ -134,11 +134,11 @@ def ppow_mod(base, e, mod, ring):
 
 
 def pderiv(a, ring):
-    return trim([ring.mul(c, ring.from_int(i)) for i, c in enumerate(a)][1:], ring)
+    return trim([c * i for i, c in enumerate(a)][1:], ring)
 
 
 def ppow(a, n, ring):
-    out = [ring.one()]
+    out = [1]
     while n:
         if n & 1:
             out = pmul(out, a, ring)
@@ -187,7 +187,7 @@ def _distinct_degree(f, ring):
     """Split a squarefree monic polynomial into (product, d) pieces where each
     product collects the irreducible factors of degree d."""
     out = []
-    x = [ring.zero(), ring.one()]
+    x = [0, 1]
     h = list(x)
     d = 0
     while degree(f) > 2 * (d + 1) - 1 and degree(f) > 0:
@@ -210,7 +210,7 @@ def _equal_degree(f, d, ring, rng):
         return [f]
     p = ring.p
     while True:
-        r = trim([ring.from_int(rng.randrange(p)) for _ in range(n)], ring)
+        r = trim([rng.randrange(p) for _ in range(n)], ring)
         if degree(r) < 1:
             continue
         g = pgcd(r, f, ring)
@@ -218,7 +218,7 @@ def _equal_degree(f, d, ring, rng):
             break
         if p % 2:
             s = ppow_mod(r, (p**d - 1) // 2, f, ring)
-            g = pgcd(psub(s, [ring.one()], ring), f, ring)
+            g = pgcd(psub(s, [1], ring), f, ring)
         else:
             s = list(r)
             acc = list(r)

@@ -75,11 +75,11 @@ def lift_monic(wi, rest, split, N):
     _require_edge(rest.edge, descendant=True)
     _validate_split(split, rest.poly)
     d, top = _top_in_last(split.G)
-    if top != split.G.ring.one():
+    if top != 1:
         raise NotMonic("G must be monic in the last variable")
     g, h, cert = _lift_over_residue_field(f, rest.ws, split, N, (None, d - 1))
     assert {e: c for e, c in g.terms.items() if not any(e[:-1])} == {
-        (0,) * (f.nvars - 1) + (d,): f.ring.one()}, "g(0, y) is not y^d"
+        (0,) * (f.nvars - 1) + (d,): 1}, "g(0, y) is not y^d"
     return g, h, cert
 
 
@@ -116,7 +116,7 @@ def _series_inverse_mod_y(v, d, nvars, ring):
     c0 = v.coeff((0,) * nvars)
     inv0 = ring.invert(c0)
     out = SparsePoly.constant(nvars, ring, inv0)
-    one = SparsePoly.constant(nvars, ring, ring.one())
+    one = SparsePoly.constant(nvars, ring, 1)
     below_d = _y_below(nvars, d)
     for _ in range(d):
         err = one - v.mul(out, below_d)
@@ -193,7 +193,7 @@ def poly_divide(f, g, cap):
     ring = f.ring
     nvars = f.nvars
     d, top = _top_in_last(g)
-    if top != ring.one():
+    if top != 1:
         raise NotMonic("the divisor must be monic in the last variable")
     # each step's quotient terms share one y-degree, lower than the last's
     q_parts = []
@@ -222,22 +222,18 @@ class PadicPoly:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(c % self.p**self.k for c in self.coefficients))
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
         if self.k < 2:
             raise ValueError("need precision k >= 2")
+        object.__setattr__(self, "coefficients",
+                           tuple(c % self.p**self.k for c in self.coefficients))
         if not any(self.coefficients):
             raise ValueError("the zero polynomial has no Newton polygon")
 
     @property
     def ring(self):
         return residue_ring(self.p, self.k)
-
-    def valuations(self):
-        """Support points (v_p(a_j), j) of the plane model."""
-        return list(_plane(_as_poly(self)).terms)
 
 
 def _as_poly(pp):

@@ -177,24 +177,24 @@ def dense_solve_field(ring, rows, rhs):
     pivots = []
     r = 0
     for col in range(n):
-        pivot_row = next((i for i in range(r, m) if not ring.is_zero(a[i][col])), None)
+        pivot_row = next((i for i in range(r, m) if a[i][col]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
         b[r], b[pivot_row] = b[pivot_row], b[r]
         inv = ring.invert(a[r][col])
-        a[r] = [ring.mul(v, inv) for v in a[r]]
-        b[r] = ring.mul(b[r], inv)
+        a[r] = [ring.normalize(v * inv) for v in a[r]]
+        b[r] = ring.normalize(b[r] * inv)
         for i in range(m):
-            if i != r and not ring.is_zero(a[i][col]):
+            if i != r and a[i][col]:
                 f = a[i][col]
-                a[i] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(a[i], a[r])]
-                b[i] = ring.sub(b[i], ring.mul(f, b[r]))
+                a[i] = [ring.normalize(v - f * w) for v, w in zip(a[i], a[r])]
+                b[i] = ring.normalize(b[i] - f * b[r])
         pivots.append(col)
         r += 1
-    if any(not ring.is_zero(v) for v in b[r:]):
+    if any(b[r:]):
         return None
-    x = [ring.zero()] * n
+    x = [0] * n
     for i, col in enumerate(pivots):
         x[col] = b[i]
     return x

@@ -328,9 +328,9 @@ def _random_cofactor_instance(rng, ring):
     ws = orthogonal_basis(random_primitive_direction(rng, n, 4))
     while True:
         du, dv = rng.randint(1, 3), rng.randint(0, 2)
-        u = [ring.from_int(rng.randint(-5, 5)) for _ in range(du)] + [ring.from_int(rng.randint(1, 5))]
-        v = [ring.from_int(rng.randint(-5, 5)) for _ in range(dv)] + [ring.from_int(rng.randint(1, 5))]
-        if ring.is_zero(u[0]) or ring.is_zero(v[0]):
+        u = [ring.normalize(rng.randint(-5, 5)) for _ in range(du)] + [ring.normalize(rng.randint(1, 5))]
+        v = [ring.normalize(rng.randint(-5, 5)) for _ in range(dv)] + [ring.normalize(rng.randint(1, 5))]
+        if not u[0] or not v[0]:
             continue
         if degree(pgcd(u, v, ring)) != 0:
             continue
@@ -354,7 +354,7 @@ def test_criterion_10_cofactor_suites():
         sl = ws.slice(exp_add(exp_add(w, z), i))
         if sl.dim == 0:
             continue
-        r = SparsePoly(n, ring, {p: ring.from_int(rng.randint(-5, 5)) for p in sl.points})
+        r = SparsePoly(n, ring, {p: ring.normalize(rng.randint(-5, 5)) for p in sl.points})
         if not r:
             continue
         hp, gp = solve_cofactor(G, H, r, ws)

@@ -13,7 +13,7 @@ RINGS = [rationals(), prime_field(5), prime_field(2), residue_ring(2, 6),
 def random_scalar(ring, rng):
     if ring.kind == "Q":
         return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-    return ring.from_int(rng.randrange(ring.modulus))
+    return ring.normalize(rng.randrange(ring.modulus))
 
 
 def test_descriptor_strings():
@@ -42,12 +42,12 @@ def test_rational_scalars_hold_one_form():
     # over Q a scalar the ring hands out is an int when integral and
     # otherwise a Fraction with denominator above 1
     q = rationals()
-    for c in (q.zero(), q.one(), q.from_int(3), q.from_fraction(Fraction(4, 2)),
+    for c in (q.normalize(Fraction(0)), q.normalize(Fraction(1)), q.normalize(3), q.div(4, 2),
               q.normalize(Fraction(6, 3)), q.invert(Fraction(1, 3)),
               q.div(Fraction(3, 2), Fraction(1, 2)), q.normalize(True), q.div(6, 1),
               q.div(Fraction(6, 3), 1), q.div(Fraction(6, 3), Fraction(1))):
         assert type(c) is int
-    for c in (q.invert(2), q.from_fraction(Fraction(2, 4)), q.div(1, 2),
+    for c in (q.invert(2), q.div(2, 4), q.div(1, 2),
               q.div(Fraction(1, 2), 1), q.div(Fraction(2, 4), Fraction(1))):
         assert type(c) is Fraction and c == Fraction(1, 2)
 
@@ -77,16 +77,18 @@ def test_invert_examples():
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_field_axioms_randomized(ring):
-    rng = random.Random(20240 + hash(str(ring)) % 1000)
+    # scalars combine with Python's operators and settle with normalize
+    rng = random.Random(f"axioms:{ring}")
+    n = ring.normalize
     for _ in range(1000):
         a = random_scalar(ring, rng)
         b = random_scalar(ring, rng)
         c = random_scalar(ring, rng)
-        assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.add(a, ring.neg(a)) == ring.zero()
+        assert n(n(a + b) + c) == n(a + n(b + c))
+        assert n(a * n(b + c)) == n(n(a * b) + n(a * c))
+        assert n(a + n(-a)) == 0
         if ring.is_unit(a):
-            assert ring.mul(a, ring.invert(a)) == ring.one()
+            assert n(a * ring.invert(a)) == 1
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -100,10 +102,10 @@ def test_div_by_one_by_a_unit_and_by_a_non_unit(ring):
         raw = a + 3 * ring.modulus if ring.modulus else a
         assert ring.div(raw, 1) == ring.normalize(raw) == a
         assert type(ring.div(raw, 1)) is type(a)
-        assert ring.div(raw, 1) == ring.normalize(ring.mul(raw, ring.invert(1)))
+        assert ring.div(raw, 1) == ring.normalize(raw * ring.invert(1))
         b = random_scalar(ring, rng)
         if ring.is_unit(b):
-            assert ring.mul(ring.div(raw, b), b) == ring.normalize(a)
+            assert ring.normalize(ring.div(raw, b) * b) == ring.normalize(a)
         else:
             with pytest.raises(NotInvertible):
                 ring.div(raw, b)
@@ -136,8 +138,8 @@ def test_residue_field_bridge():
     assert rationals().residue_field() == rationals()
 
 
-def test_from_fraction_in_finite_rings():
+def test_div_maps_a_fraction_into_a_finite_ring():
     f7 = prime_field(7)
-    assert f7.from_fraction(Fraction(1, 2)) == 4  # 2*4 = 8 = 1 mod 7
+    assert f7.div(1, 2) == 4  # 2*4 = 8 = 1 mod 7
     with pytest.raises(NotInvertible):
-        f7.from_fraction(Fraction(1, 7))
+        f7.div(1, 7)

@@ -191,7 +191,7 @@ def test_parse_inverts_render_property(ring):
 @pytest.mark.parametrize("ring", [Q, prime_field(7), residue_ring(5, 3)], ids=str)
 def test_parse_matches_polynomial_arithmetic(ring):
     def const(q):
-        return SparsePoly.constant(3, ring, ring.from_fraction(q))
+        return SparsePoly.constant(3, ring, ring.div(q.numerator, q.denominator))
 
     x, y, z = (SparsePoly.monomial(3, ring, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     one = const(1)
@@ -235,7 +235,8 @@ def _expression_trees(st, ring, depth):
 
     def literal(a, b, power):
         text = str(a) if b == 1 else f"{a}/{b}"
-        f = SparsePoly.constant(3, ring, ring.from_fraction(Fraction(a, b)))
+        q = Fraction(a, b)
+        f = SparsePoly.constant(3, ring, ring.div(q.numerator, q.denominator))
         if power is None:
             return text, ATOM, f
         return f"{text}^{power}", POWER, f.pow(power)

@@ -30,7 +30,7 @@ def random_poly(nvars, ring, rng, max_terms=6, max_exp=5):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         e = tuple(rng.randint(0, max_exp) for _ in range(nvars))
-        terms[e] = terms.get(e, ring.zero()) + random_scalar(ring, rng)
+        terms[e] = terms.get(e, 0) + random_scalar(ring, rng)
     return SparsePoly(nvars, ring, terms)
 
 

@@ -39,6 +39,18 @@ def test_f2_square():
     assert factors == [([1, 1], 2)]
 
 
+def test_f2_equal_degree_split_takes_the_trace():
+    # 1 + t + ... + t^6 = (t^3 + t^2 + 1)(t^3 + t + 1) over F_2: one
+    # distinct-degree piece of two cubics, which only the characteristic-2
+    # trace construction of the equal-degree split separates
+    f2 = prime_field(2)
+    for seed in range(5):
+        unit, factors = factor_univariate(f2, [1] * 7, seed=seed)
+        assert unit == 1
+        assert factors == [([1, 0, 1, 1], 1), ([1, 1, 0, 1], 1)]
+        assert expand(unit, factors, f2) == [1] * 7
+
+
 def test_f3_cube():
     f3 = prime_field(3)
     # 1 + 2 t^3 = 2 (t + 2)^3 over F_3

@@ -193,7 +193,7 @@ def _reference_y_split(P, d):
 
 def _reference_inverse_mod_y(v, d, nvars, ring):
     out = SparsePoly.constant(nvars, ring, ring.invert(v.coeff((0,) * nvars)))
-    one = SparsePoly.constant(nvars, ring, ring.one())
+    one = SparsePoly.constant(nvars, ring, 1)
     for _ in range(d):
         err = one - v * out
         if not err:
@@ -260,7 +260,8 @@ def _random_tail_poly(rng, ring, nx, y_range, count):
     terms = {}
     for _ in range(count):
         e = tuple(rng.randint(0, 3) for _ in range(nx)) + (rng.randint(*y_range),)
-        terms[e] = ring.from_fraction(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))))
+        q = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+        terms[e] = ring.div(q.numerator, q.denominator)
     return terms
 
 
@@ -279,9 +280,9 @@ def test_weierstrass_tail_matches_untruncated_reference():
         terms = {e: c for e, c in _random_tail_poly(rng, ring, nx, (0, top - 1), 8).items()
                  if any(e[:-1])}
         for j in range(d + 1, top):
-            terms[(0,) * nx + (j,)] = ring.from_int(rng.randint(-4, 4))
-        terms[(0,) * nx + (d,)] = ring.from_int(rng.choice((1, 2, 3, 4)))
-        terms[(0,) * nx + (top,)] = ring.one()
+            terms[(0,) * nx + (j,)] = ring.normalize(rng.randint(-4, 4))
+        terms[(0,) * nx + (d,)] = ring.normalize(rng.choice((1, 2, 3, 4)))
+        terms[(0,) * nx + (top,)] = 1
         gbar = SparsePoly(nvars, ring, terms)
         box = WeightedBound((1,) * nx + (0,), bound_x)
         u, g = weierstrass_normalize(gbar, d, box)
@@ -289,7 +290,7 @@ def test_weierstrass_tail_matches_untruncated_reference():
         # f: anything; divisor: g, or a random polynomial monic in y
         f = SparsePoly(nvars, ring, _random_tail_poly(rng, ring, nx, (0, top + 3), 10))
         divisor = g if trial % 2 else SparsePoly(nvars, ring, {
-            **_random_tail_poly(rng, ring, nx, (0, d - 1), 5), (0,) * nx + (d,): ring.one()})
+            **_random_tail_poly(rng, ring, nx, (0, d - 1), 5), (0,) * nx + (d,): 1})
         if f:
             assert poly_divide(f, divisor, box) == _reference_divide(f, divisor, bound_x)
             checked += 1
@@ -312,9 +313,9 @@ def test_a_weighted_cap_keeps_the_untruncated_tail_below_it():
         terms = {e: c for e, c in _random_tail_poly(rng, ring, nx, (0, top - 1), 8).items()
                  if any(e[:-1]) and sum(map(operator.mul, weights, e)) >= wt_yd}
         for j in range(d + 1, top):
-            terms[(0,) * nx + (j,)] = ring.from_int(rng.randint(-4, 4))
-        terms[(0,) * nx + (d,)] = ring.from_int(rng.choice((1, 2, 3, 4)))
-        terms[(0,) * nx + (top,)] = ring.one()
+            terms[(0,) * nx + (j,)] = ring.normalize(rng.randint(-4, 4))
+        terms[(0,) * nx + (d,)] = ring.normalize(rng.choice((1, 2, 3, 4)))
+        terms[(0,) * nx + (top,)] = 1
         gbar = SparsePoly(nx + 1, ring, terms)
         cap = WeightedBound(weights, wt_yd + rng.randint(0, 10))
         below = WeightedBound(weights, cap.bound - wt_yd)
@@ -380,12 +381,12 @@ def _random_monic_route(rng, ring):
     """f monic in y of degree D, with random x-divisible lower terms."""
     nx = rng.randint(1, 2)
     top = rng.randint(2, 5)
-    terms = {(0,) * nx + (top,): ring.one()}
+    terms = {(0,) * nx + (top,): 1}
     for _ in range(rng.randint(2, 6)):
         e = tuple(rng.randint(0, 6) for _ in range(nx)) + (rng.randint(0, top - 1),)
         if any(e[:-1]):
-            terms[e] = ring.from_fraction(Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)),
-                                                   rng.choice((1, 1, 2))))
+            q = Fraction(rng.choice((-3, -2, -1, 1, 2, 3, 5)), rng.choice((1, 1, 2)))
+            terms[e] = ring.div(q.numerator, q.denominator)
     return SparsePoly(nx + 1, ring, terms)
 
 
@@ -444,7 +445,20 @@ def test_padic_poly_validation():
     with pytest.raises(ValueError):
         PadicPoly((1, 1), 2, 1)     # k >= 2
     pp = PadicPoly(F4, 2, 32)
-    assert pp.valuations() == [(2, 0), (1, 1), (0, 3)]
+    assert list(_plane(_as_poly(pp)).terms) == [(2, 0), (1, 1), (0, 3)]
+
+
+def test_padic_poly_validates_p_and_k_before_reducing():
+    # the coefficients are reduced mod p^k only once p and k are valid, so a
+    # huge k with a composite p fails at once instead of forming p^k
+    class Unreduced(int):
+        def __mod__(self, other):
+            raise AssertionError("coefficient reduced before p and k were validated")
+
+    for p, k, message in ((4, 8, "not prime"), (6, 3, "not prime"), (2, 1, "k >= 2"),
+                          (3, 0, "k >= 2")):
+        with pytest.raises(ValueError, match=message):
+            PadicPoly((Unreduced(1), 1), p, k)
 
 
 def test_padic_example_p2():
@@ -658,7 +672,7 @@ def test_padic_lift_with_linear_monic_part():
 
     p, k = 2, 16
     pp = PadicPoly(F4, p, k)
-    polygon = build_from_support(pp.valuations(), 2)
+    polygon = build_from_support(list(_plane(_as_poly(pp)).terms), 2)
     edge = polygon.edge_between((0, 3), (1, 1))
     fp = prime_field(2)
     restriction = SparsePoly(2, fp, {(0, 3): 1, (1, 1): 1})  # Y^3 + P Y
